@@ -24,6 +24,13 @@ import (
 // region-server processes joined over TCP, with fast failure detection.
 func startRemoteCluster(t *testing.T, n int) (*Cluster, string, []*rpc.RegionNode) {
 	t.Helper()
+	return startRemoteClusterWith(t, n, kvstore.ServerConfig{HeartbeatInterval: 100 * time.Millisecond})
+}
+
+// startRemoteClusterWith is startRemoteCluster with the region servers
+// configured by scfg.
+func startRemoteClusterWith(t *testing.T, n int, scfg kvstore.ServerConfig) (*Cluster, string, []*rpc.RegionNode) {
+	t.Helper()
 	c, err := New(Config{
 		Servers:                -1, // no in-process region servers
 		HeartbeatInterval:      100 * time.Millisecond,
@@ -42,7 +49,7 @@ func startRemoteCluster(t *testing.T, n int) (*Cluster, string, []*rpc.RegionNod
 		node, err := rpc.StartRegionNode(rpc.RegionNodeConfig{
 			ID:         fmt.Sprintf("rs%d", i+1),
 			MasterAddr: addr,
-			Server:     kvstore.ServerConfig{HeartbeatInterval: 100 * time.Millisecond},
+			Server:     scfg,
 		})
 		if err != nil {
 			t.Fatalf("region node %d: %v", i+1, err)
@@ -290,6 +297,91 @@ func TestRemoteLayoutInvalidationOnDeadServer(t *testing.T) {
 	// surface (it keys the invalidate-then-re-resolve discipline).
 	if _, err := rpc.Dial(nodesAddr(nodes, owner)); !errors.Is(err, kvstore.ErrTransport) {
 		t.Fatalf("dial of killed node: got %v, want ErrTransport", err)
+	}
+}
+
+// TestRemoteUnsyncedWALCoveredByRecoveryLog is the paper's invariant over
+// the wire: a region-server process acknowledges writes whose WAL records
+// sit unsynced in its own memory, and a crash loses them — yet every
+// acknowledged commit is readable after recovery, because the WAL split
+// plus the transaction manager's log replay above the persisted threshold
+// covers the lost tail.
+func TestRemoteUnsyncedWALCoveredByRecoveryLog(t *testing.T) {
+	c, addr, nodes := startRemoteClusterWith(t, 2, kvstore.ServerConfig{
+		HeartbeatInterval: 100 * time.Millisecond,
+		WALSyncInterval:   time.Hour, // nothing syncs before the kill
+	})
+	if err := c.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	remote, err := ConnectRemote(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	cl, err := remote.NewClient("unsynced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+
+	ctx := context.Background()
+	const commits = 30
+	key := func(i int) kv.Key { return kv.Key(fmt.Sprintf("row-%02d", i)) }
+	for i := 0; i < commits; i++ {
+		if _, err := cl.Update(ctx, func(txn *Txn) error {
+			return txn.Put(ctx, "t", key(i), "v", []byte(fmt.Sprintf("val-%d", i)))
+		}); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+	readAll := func() error {
+		return cl.View(ctx, func(txn *Txn) error {
+			for i := 0; i < commits; i++ {
+				v, ok, err := txn.Get(ctx, "t", key(i), "v")
+				if err != nil {
+					return err
+				}
+				if want := fmt.Sprintf("val-%d", i); !ok || string(v) != want {
+					return fmt.Errorf("row %d: got %q found=%v, want %q", i, v, ok, want)
+				}
+			}
+			return nil
+		})
+	}
+	// Every commit is applied on the owner and readable.
+	if err := readAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	owner := regionOwner(t, c, "t")
+	var victim *rpc.RegionNode
+	for _, n := range nodes {
+		if n.Server().ID() == owner {
+			victim = n
+		}
+	}
+	if victim == nil {
+		t.Fatalf("owner %q not among region nodes", owner)
+	}
+	if n, err := c.DFS().Size(victim.Server().WALPath()); err != nil || n != 0 {
+		t.Fatalf("owner's WAL holds %d synced bytes (err %v) before the kill, want 0", n, err)
+	}
+	victim.Kill()
+
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		err := readAll()
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("acknowledged commits not readable after recovery: %v", err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	if got := regionOwner(t, c, "t"); got == owner {
+		t.Fatalf("region still assigned to the killed server %s", owner)
 	}
 }
 

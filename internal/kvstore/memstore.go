@@ -88,15 +88,19 @@ func (m *MemStore) randLevel() int {
 func (m *MemStore) findPreds(c kv.Cell, preds, succs *[skipMaxLevel]*skipNode) *skipNode {
 	x := m.head
 	for i := skipMaxLevel - 1; i >= 0; i-- {
+		// succs[i] is the node the search compared against, not a reload
+		// of x.next[i]: a node linked after x since then may be < c, and
+		// linking c in front of it would break the order.
+		var nxt *skipNode
 		for {
-			nxt := x.next[i].Load()
+			nxt = x.next[i].Load()
 			if nxt == nil || kv.CompareCells(nxt.cell, c) >= 0 {
 				break
 			}
 			x = nxt
 		}
 		preds[i] = x
-		succs[i] = x.next[i].Load()
+		succs[i] = nxt
 	}
 	if s := succs[0]; s != nil && s.cell == c {
 		return s
@@ -154,15 +158,16 @@ func (m *MemStore) findPredsAt(level int, c kv.Cell, preds, succs *[skipMaxLevel
 	if x == nil {
 		x = m.head
 	}
+	var nxt *skipNode
 	for {
-		nxt := x.next[level].Load()
+		nxt = x.next[level].Load()
 		if nxt == nil || kv.CompareCells(nxt.cell, c) >= 0 {
 			break
 		}
 		x = nxt
 	}
 	preds[level] = x
-	succs[level] = x.next[level].Load()
+	succs[level] = nxt // the compared successor (see findPreds)
 }
 
 // seek returns the first node whose cell is >= the given cell in store

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +222,42 @@ func TestMemStoreConcurrentReadWrite(t *testing.T) {
 		m.ScanRange(nil, kv.KeyRange{Start: "r1", End: "r2"}, kv.MaxTimestamp)
 	}
 	<-done
+}
+
+// TestMemStoreConcurrentInsertOrder stresses concurrent inserts into the
+// same few rows: every level-0 link must stay in strict cell order. An
+// insert that links against a successor it never compared (a reload of
+// pred.next after the search) puts a cell after a larger one, which a read
+// then sees as a stale version.
+func TestMemStoreConcurrentInsertOrder(t *testing.T) {
+	const writers, puts, rows = 4, 400, 50
+	for iter := 0; iter < 50; iter++ {
+		m := NewMemStore()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < puts; i++ {
+					ts := kv.Timestamp(i*writers + w + 1)
+					m.Put(mkKV(fmt.Sprintf("r%02d", i%rows), "c", ts, "v"))
+				}
+			}(w)
+		}
+		wg.Wait()
+		n := 0
+		var prev *skipNode
+		for x := m.head.next[0].Load(); x != nil; x = x.next[0].Load() {
+			if prev != nil && kv.CompareCells(prev.cell, x.cell) >= 0 {
+				t.Fatalf("iteration %d: level 0 out of order: %v then %v", iter, prev.cell, x.cell)
+			}
+			prev = x
+			n++
+		}
+		if n != writers*puts {
+			t.Fatalf("iteration %d: level 0 holds %d cells, want %d", iter, n, writers*puts)
+		}
+	}
 }
 
 func BenchmarkMemStorePut(b *testing.B) {

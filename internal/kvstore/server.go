@@ -158,19 +158,55 @@ type RegionServer struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	inflight sync.WaitGroup // in-progress ApplyWriteSet calls
+	inflight drain // in-progress ApplyWriteSet calls
+}
+
+// drain counts in-progress operations and lets a caller wait until none is
+// left. Unlike a sync.WaitGroup it lets operations start while a caller
+// waits: applies keep arriving while a region move drains them, and a
+// WaitGroup forbids an Add from zero concurrent with Wait.
+type drain struct {
+	mu   sync.Mutex
+	n    int
+	zero sync.Cond // L is mu; signalled when n drops to zero
+}
+
+func (d *drain) add() {
+	d.mu.Lock()
+	d.n++
+	d.mu.Unlock()
+}
+
+func (d *drain) done() {
+	d.mu.Lock()
+	d.n--
+	if d.n == 0 {
+		d.zero.Broadcast()
+	}
+	d.mu.Unlock()
+}
+
+// wait returns once no operation is in progress.
+func (d *drain) wait() {
+	d.mu.Lock()
+	for d.n > 0 {
+		d.zero.Wait()
+	}
+	d.mu.Unlock()
 }
 
 // NewRegionServer creates a (not yet started) region server.
 func NewRegionServer(cfg ServerConfig, fs dfs.FileSystem) *RegionServer {
 	cfg = cfg.withDefaults()
-	return &RegionServer{
+	s := &RegionServer{
 		cfg:     cfg,
 		fs:      fs,
 		cache:   NewBlockCache(cfg.BlockCacheBytes),
 		regions: make(map[string]*regionEntry),
 		stop:    make(chan struct{}),
 	}
+	s.inflight.zero.L = &s.inflight.mu
+	return s
 }
 
 // ID returns the server's node name.
@@ -389,8 +425,8 @@ func (s *RegionServer) ApplyWriteSet(ws kv.WriteSet, piggy kv.Timestamp, hasPigg
 	}
 	w := s.wal
 	s.mu.RUnlock()
-	s.inflight.Add(1)
-	defer s.inflight.Done()
+	s.inflight.add()
+	defer s.inflight.done()
 
 	// Group updates by hosted region; reject if any update is misrouted.
 	// Replays from the recovery client (hasPiggy) may target regions that
@@ -701,7 +737,7 @@ func (s *RegionServer) CloseAndFlushRegion(regionID string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s not hosted", ErrRegionNotServing, regionID)
 	}
-	s.inflight.Wait() // writes that found the region before removal finish
+	s.inflight.wait() // writes that found the region before removal finish
 	if err := entry.r.Flush(s.cfg.BlockSize); err != nil {
 		return nil, err
 	}

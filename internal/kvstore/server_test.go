@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,6 +69,52 @@ func TestCloseAndFlushUnknownRegion(t *testing.T) {
 	if _, err := ts.srvs[0].CloseAndFlushRegion("nope"); !errors.Is(err, ErrRegionNotServing) {
 		t.Fatalf("unknown region: %v", err)
 	}
+}
+
+// TestDrainAllowsStartsDuringWait is the in-flight apply counter a region
+// move drains: operations keep starting while waiters wait (a
+// sync.WaitGroup panics on that: "WaitGroup is reused before previous Wait
+// has returned"), and wait returns only once every operation that started
+// before it has finished.
+func TestDrainAllowsStartsDuringWait(t *testing.T) {
+	s := NewRegionServer(ServerConfig{ID: "rs"}, nil)
+	d := &s.inflight
+	stop := make(chan struct{})
+	var ops sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		ops.Add(1)
+		go func() {
+			defer ops.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d.add()
+				d.done()
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		d.wait()
+	}
+	close(stop)
+	ops.Wait()
+
+	d.add()
+	waited := make(chan struct{})
+	go func() {
+		d.wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("wait returned with an operation in progress")
+	case <-time.After(20 * time.Millisecond):
+	}
+	d.done()
+	<-waited
 }
 
 func TestAutomaticMemstoreFlush(t *testing.T) {

@@ -10,7 +10,8 @@ import (
 
 // The DFS surface. RegisterDFSService exposes a dfs.FileSystem (in
 // practice the master process's *dfs.FS); RemoteFS is the client half, a
-// dfs.FileSystem whose every operation executes in the master's process.
+// dfs.FileSystem whose operations execute in the master's process — all
+// but writer appends, which buffer in the writing process until Sync.
 // This is what gives region-server processes a shared filesystem
 // namespace — the deployment shape HBase gets from HDFS: a WAL written by
 // one process is readable by the master for log splitting, and store files
@@ -289,50 +290,152 @@ func (fs *RemoteFS) ReadRange(path string, off int64, n int) ([]byte, error) {
 	return decBytesMsg(resp)
 }
 
-// remoteWriter is the client handle to a server-side writer. Buffered is
-// tracked locally (bytes appended since the last successful sync), sparing
-// a round trip — it mirrors the server-side writer's value exactly as long
-// as appends succeed, and overstates it otherwise, which only makes sync
-// policies sync sooner.
+// remoteShipBytes bounds a remote writer's unshipped buffer. An Append
+// that brings the buffer to it ships the buffer (FAppend, no sync), so
+// store-file, compaction and replay writes keep a bounded buffer and every
+// FAppend frame stays far below MaxFrameBytes.
+const remoteShipBytes = 256 << 10
+
+// remoteWriter is the client handle to a server-side writer. It keeps the
+// FileWriter contract in the region-server process, as dfs.Writer does for
+// in-process servers: Append copies into a local buffer and makes no RPC;
+// Sync ships the buffer in order as FAppend chunks, then sends FSync. The
+// only early ship is an Append that fills the buffer to remoteShipBytes.
+// A process crash loses only bytes never synced — the ones still here and
+// the ones the service holds, which it abandons with the session.
+//
+// A failed ship puts its bytes back at the front of the buffer, and the
+// failure sticks: Append returns it (buffering nothing) until a Sync
+// succeeds, so an error of the asynchronous syncer surfaces on the next
+// write. An Append whose own ship fails returns that error too; its bytes
+// stay buffered and go out with the next successful Sync.
+//
+// Syncs (the WAL syncer's and the heartbeat's persist) and ships are
+// serialized by syncMu. mu guards the buffer and is never held across an
+// RPC: a ship swaps the buffer out, so appenders do not wait on it.
 type remoteWriter struct {
 	fs *RemoteFS
 	id uint64
 
+	syncMu sync.Mutex // serializes ships and syncs
+
 	mu       sync.Mutex
-	buffered int
+	buf      []byte // appended, not yet shipped
+	unsynced int    // bytes shipped or in flight since the last FSync
+	err      error  // sticky ship/sync failure; cleared by a successful Sync
+	closed   bool
 }
 
 func (w *remoteWriter) Append(b []byte) error {
-	_, err := w.fs.pool.Call(context.Background(), w.fs.addr, FAppend, encFAppendReq(w.id, b))
-	if err == nil {
-		w.mu.Lock()
-		w.buffered += len(b)
+	w.mu.Lock()
+	switch {
+	case w.closed:
 		w.mu.Unlock()
+		return dfs.ErrClosed
+	case w.err != nil:
+		err := w.err
+		w.mu.Unlock()
+		return err
 	}
-	return err
+	w.buf = append(w.buf, b...)
+	full := len(w.buf) >= remoteShipBytes
+	w.mu.Unlock()
+	if !full {
+		return nil
+	}
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	full = len(w.buf) >= remoteShipBytes // a concurrent Sync may have shipped it
+	w.mu.Unlock()
+	if !full {
+		return nil
+	}
+	return w.shipLocked()
 }
 
+// shipLocked sends the buffer as FAppend chunks. The caller holds syncMu.
+func (w *remoteWriter) shipLocked() error {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return dfs.ErrClosed
+	}
+	data := w.buf
+	w.buf = nil
+	w.unsynced += len(data)
+	w.mu.Unlock()
+
+	for off := 0; off < len(data); {
+		n := min(len(data)-off, remoteShipBytes)
+		_, err := w.fs.pool.Call(context.Background(), w.fs.addr, FAppend, encFAppendReq(w.id, data[off:off+n]))
+		if err != nil {
+			w.mu.Lock()
+			if !w.closed {
+				w.unsynced -= len(data) - off
+				w.buf = append(data[off:], w.buf...)
+			}
+			w.err = err
+			w.mu.Unlock()
+			return err
+		}
+		off += n
+	}
+	return nil
+}
+
+// Buffered counts the bytes appended and not yet synced: buffered here,
+// in flight, or shipped and awaiting FSync.
 func (w *remoteWriter) Buffered() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.buffered
+	return len(w.buf) + w.unsynced
 }
 
+// Sync ships the buffer and makes it durable. With nothing appended since
+// the last successful sync it is a no-op and pays no round trip.
 func (w *remoteWriter) Sync() error {
-	_, err := w.fs.pool.Call(context.Background(), w.fs.addr, FSync, encHandleMsg(w.id))
-	if err == nil {
-		w.mu.Lock()
-		w.buffered = 0
-		w.mu.Unlock()
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	closed, idle := w.closed, len(w.buf)+w.unsynced == 0
+	w.mu.Unlock()
+	if closed {
+		return dfs.ErrClosed
 	}
+	if idle {
+		return nil
+	}
+	if err := w.shipLocked(); err != nil {
+		return err
+	}
+	_, err := w.fs.pool.Call(context.Background(), w.fs.addr, FSync, encHandleMsg(w.id))
+	w.mu.Lock()
+	if err == nil {
+		w.unsynced = 0
+	}
+	w.err = err
+	w.mu.Unlock()
 	return err
 }
 
+// drop discards the unsynced tail locally; the service drops its own
+// buffer when it closes or abandons the server-side writer.
+func (w *remoteWriter) drop() {
+	w.mu.Lock()
+	w.closed = true
+	w.buf = nil
+	w.unsynced = 0
+	w.mu.Unlock()
+}
+
 func (w *remoteWriter) Close() error {
+	w.drop()
 	_, err := w.fs.pool.Call(context.Background(), w.fs.addr, FClose, encHandleMsg(w.id))
 	return err
 }
 
 func (w *remoteWriter) Abandon() {
+	w.drop()
 	_, _ = w.fs.pool.Call(context.Background(), w.fs.addr, FAbandon, encHandleMsg(w.id))
 }
