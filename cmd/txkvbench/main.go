@@ -13,24 +13,18 @@
 //	txkvbench -experiment clientfail  # client-failure recovery (§3.1)
 //	txkvbench -experiment rmfail      # recovery-manager fail-over (§3.3)
 //	txkvbench -experiment durability  # storage engine: mem vs disk backend + timed restart
-//	txkvbench -experiment readwrite   # hot-path Get/Scan latency + parallel commit throughput
 //	txkvbench -experiment compaction  # DataDir plateau + read p99 under the storage janitor
-//	txkvbench -experiment scan        # streaming cursor scans vs materializing slice scans
 //	txkvbench -experiment txn_retry   # managed Update retry vs caller retry loops under contention
-//	txkvbench -experiment coldread    # store-file v1 vs v2: cold gets, cold scans, disk footprint
-//	txkvbench -experiment rpc         # wire-protocol overhead: loopback vs multi-process tcp
 //	txkvbench -experiment watch       # change streams: commit-path isolation, delivery latency, catch-up replay
 //	txkvbench -experiment replication # region replication: quorum-ack commit price, follower-read scans, failover blip
 //	txkvbench -experiment all
 //
-// The readwrite, scan, txn_retry, coldread, rpc, and watch experiments
-// additionally write their machine-readable results to the path given by
-// -json (the BENCH_PR2.json / BENCH_PR4.json / BENCH_PR5.json /
-// BENCH_PR7.json / BENCH_PR8.json / BENCH_PR9.json regression formats). The -cold flag makes the readwrite and compaction
-// read phases drop the block caches as they run.
+// Each experiment prints its table to stdout. The end-to-end latency and
+// throughput workloads (cold reads, TCP at three copies, crash recovery)
+// live in perfbench, which emits machine-readable results.
 //
-// The -scale flag shrinks or grows every workload dimension together;
-// -records / -duration override individual knobs.
+// -records, -duration and -threads scale every experiment; -seed fixes the
+// workload RNGs.
 package main
 
 import (
@@ -38,63 +32,21 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"txkv/internal/bench"
 )
 
-// jsonSuffix derives "base.name.json" from "base.json" (or appends when
-// there is no .json extension).
-func jsonSuffix(path, name string) string {
-	if strings.HasSuffix(path, ".json") {
-		return strings.TrimSuffix(path, ".json") + "." + name + ".json"
-	}
-	return path + "." + name
-}
-
 func main() {
 	log.SetFlags(0)
 	var (
-		experiment = flag.String("experiment", "all", "fig2a|fig2b|fig3|replaybound|truncation|clientfail|rmfail|durability|readwrite|compaction|scan|txn_retry|coldread|rpc|watch|replication|all")
+		experiment = flag.String("experiment", "all", "fig2a|fig2b|fig3|replaybound|truncation|clientfail|rmfail|durability|compaction|txn_retry|watch|replication|all")
 		records    = flag.Int("records", 20000, "rows to load")
 		duration   = flag.Duration("duration", 4*time.Second, "measurement duration per point")
 		threads    = flag.Int("threads", 50, "client threads (the paper uses 50)")
 		seed       = flag.Int64("seed", 1, "workload seed")
-		jsonPath   = flag.String("json", "", "write readwrite results as JSON to this path")
-		obsFlag    = flag.Bool("obs", false, "trace the run and embed the metric registry snapshot in the JSON result (readwrite, scan)")
-		coldFlag   = flag.Bool("cold", false, "drop block caches during read phases (readwrite, compaction)")
 	)
 	flag.Parse()
-	// A single selected experiment owns -json outright; a run covering
-	// both JSON-emitting experiments gets per-experiment derived names so
-	// the later one cannot clobber the earlier result.
-	switch *experiment {
-	case "readwrite":
-		bench.ReadWriteJSONPath = *jsonPath
-	case "scan":
-		bench.ScanJSONPath = *jsonPath
-	case "txn_retry":
-		bench.TxnRetryJSONPath = *jsonPath
-	case "coldread":
-		bench.ColdReadJSONPath = *jsonPath
-	case "rpc":
-		bench.RPCJSONPath = *jsonPath
-	case "watch":
-		bench.WatchJSONPath = *jsonPath
-	case "replication":
-		bench.ReplicationJSONPath = *jsonPath
-	default:
-		if *jsonPath != "" {
-			bench.ReadWriteJSONPath = jsonSuffix(*jsonPath, "readwrite")
-			bench.ScanJSONPath = jsonSuffix(*jsonPath, "scan")
-			bench.TxnRetryJSONPath = jsonSuffix(*jsonPath, "txn_retry")
-			bench.ColdReadJSONPath = jsonSuffix(*jsonPath, "coldread")
-			bench.RPCJSONPath = jsonSuffix(*jsonPath, "rpc")
-			bench.WatchJSONPath = jsonSuffix(*jsonPath, "watch")
-			bench.ReplicationJSONPath = jsonSuffix(*jsonPath, "replication")
-		}
-	}
 
 	opts := bench.Options{
 		Records:  *records,
@@ -102,8 +54,6 @@ func main() {
 		Threads:  *threads,
 		Seed:     *seed,
 		Out:      os.Stdout,
-		Obs:      *obsFlag,
-		Cold:     *coldFlag,
 	}
 
 	experiments := map[string]func(bench.Options) error{
@@ -115,16 +65,12 @@ func main() {
 		"clientfail":  bench.ClientFailure,
 		"rmfail":      bench.RMFailover,
 		"durability":  bench.Durability,
-		"readwrite":   bench.ReadWrite,
 		"compaction":  bench.Compaction,
-		"scan":        bench.Scan,
 		"txn_retry":   bench.TxnRetry,
-		"coldread":    bench.ColdRead,
-		"rpc":         bench.RPC,
 		"watch":       bench.Watch,
 		"replication": bench.Replication,
 	}
-	order := []string{"fig2a", "fig2b", "fig3", "replaybound", "truncation", "clientfail", "rmfail", "durability", "readwrite", "compaction", "scan", "txn_retry", "coldread", "rpc", "watch", "replication"}
+	order := []string{"fig2a", "fig2b", "fig3", "replaybound", "truncation", "clientfail", "rmfail", "durability", "compaction", "txn_retry", "watch", "replication"}
 
 	run := func(name string) {
 		fn, ok := experiments[name]

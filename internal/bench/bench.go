@@ -1,9 +1,9 @@
-// Package bench implements the paper's evaluation experiments (§4) as
-// reusable functions, shared by cmd/txkvbench and the root testing.B
-// benchmarks. Each experiment builds a cluster whose simulated latencies
-// keep the paper's testbed ratios (LAN RPC ≪ log fsync < DFS pipeline
-// sync), runs the YCSB transactional workload of §4.1, and prints the rows
-// or series the corresponding figure plots.
+// Package bench implements the experiments cmd/txkvbench runs: the paper's
+// evaluation (§4) plus the subsystem experiments the perfbench workloads do
+// not cover. Each paper experiment builds a cluster whose simulated
+// latencies keep the paper's testbed ratios (LAN RPC ≪ log fsync < DFS
+// pipeline sync), runs the YCSB transactional workload of §4.1, and prints
+// the rows or series the corresponding figure plots.
 package bench
 
 import (
@@ -29,16 +29,6 @@ type Options struct {
 	Seed int64
 	// Out receives the printed rows.
 	Out io.Writer
-	// Obs enables commit-pipeline tracing during the run and embeds the
-	// cluster's metric registry snapshot (plus derived stage-accounting and
-	// tracing-overhead figures) in the JSON result. Supported by the
-	// readwrite and scan experiments.
-	Obs bool
-	// Cold drops the block caches throughout the measured read phases, so
-	// reads exercise the store-file fetch-and-decode path instead of the
-	// cache. Supported by the readwrite and compaction experiments (the
-	// coldread experiment is always cold).
-	Cold bool
 }
 
 func (o Options) withDefaults() Options {

@@ -34,9 +34,9 @@ func Compaction(o Options) error {
 	}
 	defer os.RemoveAll(dir)
 
-	// Hot-path configuration (as in readwrite: zero simulated latencies so
-	// the software cost of reclamation, not sleeps, is measured), plus
-	// disk persistence and an aggressive janitor.
+	// Hot-path configuration (zero simulated latencies, so the software
+	// cost of reclamation, not sleeps, is measured), plus disk persistence
+	// and an aggressive janitor.
 	cfg := paperRatioConfig(2, false, time.Second)
 	cfg.RPCLatency = 0
 	cfg.LogSyncLatency = 0
@@ -167,11 +167,6 @@ func Compaction(o Options) error {
 		deadline := time.Now().Add(o.Duration)
 		for time.Now().Before(deadline) {
 			<-tick.C
-			if o.Cold {
-				// Cold mode: the read p99 column tracks the store-file
-				// fetch path through the janitor churn, not cache hits.
-				c.DropBlockCaches()
-			}
 			size, err := c.DataDirBytes()
 			if err != nil {
 				fail(err)

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,43 +34,32 @@ import (
 //	               crashed mid-run; reports the client-visible blip and the
 //	               master's promotion window
 //
-// BENCH_PR10.json records a reference run; EXPERIMENTS.md discusses it.
-
-// ReplicationResult is the machine-readable output of one Replication run.
-type ReplicationResult struct {
-	DurationSec float64 `json:"duration_sec"`
-	Threads     int     `json:"threads"`
-
-	Phases []ReplicationPhaseResult `json:"phases"`
-}
+// BENCH_PR10.json records a historical reference run; EXPERIMENTS.md
+// discusses it.
 
 // ReplicationPhaseResult is one phase's measurements; fields a phase does
 // not exercise are zero.
 type ReplicationPhaseResult struct {
-	Phase           string  `json:"phase"`
-	CommitsPerSec   float64 `json:"commits_per_sec,omitempty"`
-	CommitP50Micros float64 `json:"commit_p50_us,omitempty"`
-	CommitP99Micros float64 `json:"commit_p99_us,omitempty"`
-	RowsPerSec      float64 `json:"rows_per_sec,omitempty"`
-	ScansPerSec     float64 `json:"scans_per_sec,omitempty"`
+	Phase           string
+	CommitsPerSec   float64
+	CommitP50Micros float64
+	CommitP99Micros float64
+	RowsPerSec      float64
+	ScansPerSec     float64
 	// FollowerReads counts scans served by follower copies during the scan
 	// phases (zero when follower reads are off — the control).
-	FollowerReads int64 `json:"follower_reads,omitempty"`
+	FollowerReads int64
 	// BlipMS is the largest gap between consecutive successful commits
 	// across the whole failover phase — the client-visible unavailability
 	// window around the crash.
-	BlipMS float64 `json:"blip_ms,omitempty"`
+	BlipMS float64
 	// FailoverWindowMS is the master's own promotion window (detection
 	// excluded): last failover duration from the replica metric family.
-	FailoverWindowMS float64 `json:"failover_window_ms,omitempty"`
+	FailoverWindowMS float64
 	// CommitErrors counts failed commits during the failover phase (they
 	// concentrate inside the blip).
-	CommitErrors int64 `json:"commit_errors,omitempty"`
+	CommitErrors int64
 }
-
-// ReplicationJSONPath, when non-empty, makes Replication write its result as
-// JSON to the given file (set by cmd/txkvbench -json).
-var ReplicationJSONPath string
 
 const replBenchTable = "replbench"
 
@@ -84,14 +71,14 @@ const replWriterInterval = 5 * time.Millisecond
 // phase.
 func Replication(o Options) error {
 	o = o.withDefaults()
-	res := ReplicationResult{DurationSec: o.Duration.Seconds(), Threads: o.Threads}
+	var phases []ReplicationPhaseResult
 
 	for _, rf := range []int{1, 3} {
 		pr, err := replCommitPhase(o, rf)
 		if err != nil {
 			return err
 		}
-		res.Phases = append(res.Phases, pr)
+		phases = append(phases, pr)
 		runtime.GC()
 	}
 	for _, follower := range []bool{false, true} {
@@ -99,32 +86,22 @@ func Replication(o Options) error {
 		if err != nil {
 			return err
 		}
-		res.Phases = append(res.Phases, pr)
+		phases = append(phases, pr)
 		runtime.GC()
 	}
 	pr, err := replFailoverPhase(o)
 	if err != nil {
 		return err
 	}
-	res.Phases = append(res.Phases, pr)
+	phases = append(phases, pr)
 
 	fprintf(o.Out, "# replication: quorum-ack commit price, follower-read scans, failover blip\n")
 	fprintf(o.Out, "%-14s %11s %11s %11s %11s %11s %9s %9s %9s %7s\n",
 		"phase", "commits/s", "cmt-p50-us", "cmt-p99-us", "rows/s", "scans/s", "flw-reads", "blip-ms", "fo-ms", "errors")
-	for _, p := range res.Phases {
+	for _, p := range phases {
 		fprintf(o.Out, "%-14s %11.1f %11.1f %11.1f %11.1f %11.1f %9d %9.1f %9.1f %7d\n",
 			p.Phase, p.CommitsPerSec, p.CommitP50Micros, p.CommitP99Micros,
 			p.RowsPerSec, p.ScansPerSec, p.FollowerReads, p.BlipMS, p.FailoverWindowMS, p.CommitErrors)
-	}
-	if ReplicationJSONPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(ReplicationJSONPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("replication: write json: %w", err)
-		}
-		fprintf(o.Out, "\nwrote %s\n", ReplicationJSONPath)
 	}
 	return nil
 }

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +29,7 @@ import (
 // the same committed work and the success latency tail: backoff desynchronizes
 // colliding workers, so the managed mode commits the same workload with
 // fewer wasted validation rounds. BENCH_PR5.json in the repo root records a
-// reference run in the TxnRetryResult format.
+// historical reference run.
 
 // txnRetryHotKeys is the contended keyspace size: small enough that
 // Threads workers collide constantly.
@@ -39,46 +37,24 @@ const txnRetryHotKeys = 16
 
 // TxnRetryMode is one mode's measurements.
 type TxnRetryMode struct {
-	CommitsPerSec float64 `json:"commits_per_sec"`
-	Conflicts     int64   `json:"conflicts"`
+	CommitsPerSec float64
+	Conflicts     int64
 	// ConflictsPerCommit is the wasted-work ratio: validation rounds that
 	// aborted per committed transaction.
-	ConflictsPerCommit float64 `json:"conflicts_per_commit"`
-	P50Micros          float64 `json:"p50_us"`
-	P99Micros          float64 `json:"p99_us"`
-	Failures           int64   `json:"failures"`
+	ConflictsPerCommit float64
+	P99Micros          float64
+	Failures           int64
 }
-
-// TxnRetryResult is the machine-readable output of one TxnRetry run.
-type TxnRetryResult struct {
-	Records     int     `json:"records"`
-	HotKeys     int     `json:"hot_keys"`
-	Threads     int     `json:"threads"`
-	DurationSec float64 `json:"duration_sec"`
-
-	Caller  TxnRetryMode `json:"caller_retry"`
-	Managed TxnRetryMode `json:"managed_update"`
-}
-
-// TxnRetryJSONPath, when non-empty, makes TxnRetry additionally write its
-// TxnRetryResult as JSON to the given file (set by cmd/txkvbench -json).
-var TxnRetryJSONPath string
 
 // TxnRetry runs the contention experiment and prints one row per mode.
 func TxnRetry(o Options) error {
 	o = o.withDefaults()
-	res := TxnRetryResult{
-		Records:     o.Records,
-		HotKeys:     txnRetryHotKeys,
-		Threads:     o.Threads,
-		DurationSec: o.Duration.Seconds(),
-	}
-
-	var err error
-	if res.Caller, err = txnRetryMode(o, false); err != nil {
+	caller, err := txnRetryMode(o, false)
+	if err != nil {
 		return err
 	}
-	if res.Managed, err = txnRetryMode(o, true); err != nil {
+	managed, err := txnRetryMode(o, true)
+	if err != nil {
 		return err
 	}
 
@@ -88,20 +64,9 @@ func TxnRetry(o Options) error {
 	for _, row := range []struct {
 		name string
 		m    TxnRetryMode
-	}{{"caller", res.Caller}, {"managed", res.Managed}} {
+	}{{"caller", caller}, {"managed", managed}} {
 		fprintf(o.Out, "%-8s %14.0f %12d %12.2f %12.1f %10d\n",
 			row.name, row.m.CommitsPerSec, row.m.Conflicts, row.m.ConflictsPerCommit, row.m.P99Micros, row.m.Failures)
-	}
-
-	if TxnRetryJSONPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(TxnRetryJSONPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("txn_retry: write json: %w", err)
-		}
-		fprintf(o.Out, "\nwrote %s\n", TxnRetryJSONPath)
 	}
 	return nil
 }
@@ -109,7 +74,7 @@ func TxnRetry(o Options) error {
 // txnRetryMode measures one retry discipline on a fresh cluster.
 func txnRetryMode(o Options, managed bool) (TxnRetryMode, error) {
 	var m TxnRetryMode
-	// Software-path configuration (like readwrite): zero simulated
+	// Software-path configuration: zero simulated
 	// latencies so the measurement is validation + retry machinery, with
 	// just the group-commit fsync kept to make wasted rounds cost something.
 	cfg := paperRatioConfig(2, false, time.Second)
@@ -199,7 +164,6 @@ func txnRetryMode(o Options, managed bool) (TxnRetryMode, error) {
 	if n > 0 {
 		m.ConflictsPerCommit = float64(m.Conflicts) / float64(n)
 	}
-	m.P50Micros = float64(hist.Quantile(0.50)) / 1e3
 	m.P99Micros = float64(hist.Quantile(0.99)) / 1e3
 	m.Failures = failures.Load()
 	return m, nil

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,39 +31,28 @@ import (
 //	catchup   history committed first, then a pinned stream drains it all —
 //	          replay events/sec
 //
-// BENCH_PR9.json records a reference run; EXPERIMENTS.md discusses it.
-
-// WatchResult is the machine-readable output of one Watch run.
-type WatchResult struct {
-	DurationSec float64 `json:"duration_sec"`
-	Threads     int     `json:"threads"`
-
-	Phases []WatchPhaseResult `json:"phases"`
-}
+// BENCH_PR9.json records a historical reference run; EXPERIMENTS.md
+// discusses it.
 
 // WatchPhaseResult is one phase's measurements; fields that a phase does
 // not exercise are zero.
 type WatchPhaseResult struct {
-	Phase           string  `json:"phase"` // "baseline" | "live" | "slow" | "catchup"
-	CommitsPerSec   float64 `json:"commits_per_sec,omitempty"`
-	CommitP50Micros float64 `json:"commit_p50_us,omitempty"`
-	CommitP99Micros float64 `json:"commit_p99_us,omitempty"`
-	EventsPerSec    float64 `json:"events_per_sec,omitempty"`
+	Phase           string // "baseline" | "live" | "slow" | "catchup"
+	CommitsPerSec   float64
+	CommitP50Micros float64
+	CommitP99Micros float64
+	EventsPerSec    float64
 	// Delivery latency spans commit submission to event receipt, so it
 	// includes the commit itself; subtract the commit p50 for the pure
 	// fan-out cost.
-	DeliverP50Micros float64 `json:"deliver_p50_us,omitempty"`
-	DeliverP99Micros float64 `json:"deliver_p99_us,omitempty"`
+	DeliverP50Micros float64
+	DeliverP99Micros float64
 	// Overflows counts live-queue overflows that demoted the subscriber to
 	// the historical reader. They show up in the live phase (full-rate
 	// fan-out bursts past the queue); the slow phase's watcher usually
 	// trails in catch-up mode from the start and never attaches at all.
-	Overflows int64 `json:"overflows,omitempty"`
+	Overflows int64
 }
-
-// WatchJSONPath, when non-empty, makes Watch write its WatchResult as JSON
-// to the given file (set by cmd/txkvbench -json).
-var WatchJSONPath string
 
 const watchBenchTable = "watchbench"
 
@@ -83,14 +70,14 @@ const watchWriterInterval = 10 * time.Millisecond
 // Watch runs the change-stream experiment and prints one row per phase.
 func Watch(o Options) error {
 	o = o.withDefaults()
-	res := WatchResult{DurationSec: o.Duration.Seconds(), Threads: o.Threads}
+	var phases []WatchPhaseResult
 
 	for _, phase := range []string{"baseline", "live", "slow"} {
 		pr, err := watchPhase(o, phase)
 		if err != nil {
 			return err
 		}
-		res.Phases = append(res.Phases, pr)
+		phases = append(phases, pr)
 		// Level the heap between phases: the commit percentiles are tight
 		// enough that garbage carried over from an earlier phase's cluster
 		// otherwise skews whichever phase runs later.
@@ -100,25 +87,15 @@ func Watch(o Options) error {
 	if err != nil {
 		return err
 	}
-	res.Phases = append(res.Phases, pr)
+	phases = append(phases, pr)
 
 	fprintf(o.Out, "# watch: change streams — commit-path isolation, delivery latency, catch-up replay\n")
 	fprintf(o.Out, "%-9s %11s %11s %11s %11s %12s %12s %10s\n",
 		"phase", "commits/s", "cmt-p50-us", "cmt-p99-us", "events/s", "dlv-p50-us", "dlv-p99-us", "overflows")
-	for _, p := range res.Phases {
+	for _, p := range phases {
 		fprintf(o.Out, "%-9s %11.1f %11.1f %11.1f %11.1f %12.1f %12.1f %10d\n",
 			p.Phase, p.CommitsPerSec, p.CommitP50Micros, p.CommitP99Micros,
 			p.EventsPerSec, p.DeliverP50Micros, p.DeliverP99Micros, p.Overflows)
-	}
-	if WatchJSONPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(WatchJSONPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("watch: write json: %w", err)
-		}
-		fprintf(o.Out, "\nwrote %s\n", WatchJSONPath)
 	}
 	return nil
 }

@@ -100,14 +100,6 @@ type Config struct {
 	MemstoreFlushBytes int
 	BlockCacheBytes    int
 	BlockSize          int
-	// StoreFileVersion selects the store-file format flushes and
-	// compactions write: 0 or kvstore.StoreFileV2 (the default) writes v2
-	// files with row-key bloom filters and per-block compression;
-	// kvstore.StoreFileV1 writes the legacy format (benchmark baselines,
-	// migration tests). Both formats are always readable.
-	StoreFileVersion int
-	// Compression names the v2 block codec: "snappy" (default) or "none".
-	Compression string
 	// WALSyncInterval is the region server's own async WAL sync cadence
 	// (in addition to the per-heartbeat persist).
 	WALSyncInterval time.Duration
@@ -613,24 +605,6 @@ func (c *Cluster) FileStats() kvstore.FileStatsSnapshot {
 	return c.fileStats.Snapshot()
 }
 
-// DropBlockCaches empties every live server's block cache — the cold-cache
-// reset the benchmark harness uses to measure cold-read latency (the state a
-// region server is in right after fail-over, Figure 3's slow return to
-// pre-failure performance).
-func (c *Cluster) DropBlockCaches() {
-	c.mu.Lock()
-	units := make([]*serverUnit, 0, len(c.servers))
-	for _, u := range c.servers {
-		units = append(units, u)
-	}
-	c.mu.Unlock()
-	for _, u := range units {
-		if !u.srv.Crashed() {
-			u.srv.Cache().Clear()
-		}
-	}
-}
-
 // Obs returns the cluster's metric registry.
 func (c *Cluster) Obs() *obs.Registry { return c.obs }
 
@@ -748,8 +722,6 @@ func (c *Cluster) AddServer() (string, error) {
 		HeartbeatInterval:   c.cfg.MasterHeartbeatTimeout / 4,
 		CompactionThreshold: c.cfg.CompactionThreshold,
 		RollFlushMinBytes:   c.cfg.RollFlushMinBytes,
-		StoreFileVersion:    c.cfg.StoreFileVersion,
-		Compression:         c.cfg.Compression,
 		HorizonSource:       c.tm.SafeSnapshot,
 		Reclaim:             c.reclaim,
 		FileStats:           c.fileStats,

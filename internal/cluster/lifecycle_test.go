@@ -25,7 +25,8 @@ func flushAllServers(t *testing.T, c *Cluster) {
 // generations, reclaim (store-file compaction + DFS log compaction), verify
 // the data directory shrank, then stop and reopen — the compacted layout
 // must restore every committed value, and keep working through another
-// write/reclaim/reopen cycle.
+// write/reclaim/reopen cycle whose cold reads go through bloom-carrying
+// compressed files.
 func TestReclaimStorageRoundTripsThroughReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := diskConfig(2, dir)
@@ -91,7 +92,20 @@ func TestReclaimStorageRoundTripsThroughReopen(t *testing.T) {
 	if _, err := c2.ReclaimStorage(); err != nil {
 		t.Fatalf("reclaim after reopen: %v", err)
 	}
+	if s := c2.FileStats(); s.BlockCompressedBytes == 0 {
+		t.Fatalf("reclaim after reopen wrote no compressed blocks: %+v", s)
+	}
+	// Cold reads go through the reclaimed store files, and point reads
+	// consult their bloom filters before fetching a block.
+	for _, id := range c2.ServerIDs() {
+		if srv, ok := c2.Server(id); ok {
+			srv.Cache().Clear()
+		}
+	}
 	auditValues(t, c2, "audit-post2", "t", want)
+	if s := c2.FileStats(); s.BloomProbes == 0 {
+		t.Fatalf("cold reads after reopen never consulted a bloom filter: %+v", s)
+	}
 	c2.Stop()
 
 	c3, err := Reopen(cfg)

@@ -72,17 +72,6 @@ func ForID(id byte) (Codec, error) {
 	return nil, fmt.Errorf("%w: id %d", ErrUnknownCodec, id)
 }
 
-// ForName resolves a codec from its name ("" means the default, snappy).
-func ForName(name string) (Codec, error) {
-	switch name {
-	case "none":
-		return None{}, nil
-	case "snappy", "":
-		return Snappy{}, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownCodec, name)
-}
-
 // Snappy element tags (low two bits of the first element byte).
 const (
 	tagLiteral = 0x00

@@ -30,16 +30,13 @@ const (
 )
 
 // selectCompactionInputs picks which of the region's files to compact: the
-// must-rewrite set (files below the region's configured write format
-// awaiting the upgrade and split-reference files awaiting localization)
-// plus the largest tier of size-similar owned current-format files. Returns
-// nil when no rewrite is warranted. targetVersion is the format the region
-// writes (a v1-configured region does not treat its own v1 files as stale —
-// otherwise every round would be a major compaction that converges nowhere).
-func selectCompactionInputs(files []*StoreFile, targetVersion int) []*StoreFile {
+// must-rewrite set (split-reference files awaiting localization) plus the
+// largest tier of size-similar owned files. Returns nil when no rewrite is
+// warranted.
+func selectCompactionInputs(files []*StoreFile) []*StoreFile {
 	var must, rest []*StoreFile
 	for _, f := range files {
-		if f.version < targetVersion || f.refMarker != "" {
+		if f.refMarker != "" {
 			must = append(must, f)
 		} else {
 			rest = append(rest, f)
@@ -94,16 +91,15 @@ func (r *Region) Compact(blockSize int, horizon kv.Timestamp) error {
 	return r.compactFiles(v, v.files, blockSize, horizon)
 }
 
-// CompactTiered runs one round of size-tiered compaction: legacy-format and
-// split-reference files plus the largest tier of size-similar files merge
-// into one new v2 file; everything else is left alone. Reports whether a
-// rewrite happened.
+// CompactTiered runs one round of size-tiered compaction: split-reference
+// files plus the largest tier of size-similar files merge into one new
+// file; everything else is left alone. Reports whether a rewrite happened.
 func (r *Region) CompactTiered(blockSize int, horizon kv.Timestamp) (bool, error) {
 	r.flushMu.Lock()
 	defer r.flushMu.Unlock()
 
 	v := r.acquireView()
-	inputs := selectCompactionInputs(v.files, r.targetStoreFileVersion())
+	inputs := selectCompactionInputs(v.files)
 	if len(inputs) == 0 {
 		r.releaseView(v)
 		return false, nil

@@ -57,9 +57,7 @@ func corruptCopy(t *testing.T, fs *dfs.FS, src, dst string, mutate func([]byte) 
 func TestStoreFileV2CorruptionRejected(t *testing.T) {
 	fs := dfs.New(dfs.Config{})
 	entries := compressibleEntries(500)
-	if _, err := WriteStoreFileWith(fs, "/data/v2", entries, StoreFileOptions{
-		BlockSize: 256, Version: StoreFileV2, Codec: compress.Snappy{},
-	}); err != nil {
+	if _, err := WriteStoreFile(fs, "/data/v2", entries, 256); err != nil {
 		t.Fatal(err)
 	}
 	orig, err := fs.ReadAll("/data/v2")
@@ -111,6 +109,18 @@ func TestStoreFileV2CorruptionRejected(t *testing.T) {
 			// the end of the file: the extent validation must reject it.
 			return b[len(b)-64:]
 		}},
+		{"index count beyond index bytes", true, func(b []byte) []byte {
+			return withIndex(b, func(idx []byte) []byte {
+				_, n := binary.Uvarint(idx)
+				return append(binary.AppendUvarint(nil, 1<<62), idx[n:]...)
+			})
+		}},
+		{"block extent past index", true, func(b []byte) []byte {
+			return withIndexEntries(b, func(es []indexEntry) { es[0].length = 1 << 40 })
+		}},
+		{"negative block offset", true, func(b []byte) []byte {
+			return withIndexEntries(b, func(es []indexEntry) { es[0].offset = -1 })
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,68 +155,181 @@ func TestStoreFileV2CorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestCompactTieredUpgradesMixedFormats drives a region holding both v1 and
-// v2 store files through tiered compaction: the legacy files are in the
-// must-rewrite set even when no size tier qualifies, repeated rounds
-// converge (CompactTiered eventually reports no work), and afterwards every
-// live file is v2 with the data intact.
-func TestCompactTieredUpgradesMixedFormats(t *testing.T) {
-	fs := dfs.New(dfs.Config{})
-	info := RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}}
-	r, err := OpenRegion(fs, NewBlockCache(1<<20), info)
+// withIndex rebuilds a store file around a replacement index section: the
+// blocks and bloom are kept, and the footer's index length and bloom
+// offset follow the new index, so only the index content is corrupt.
+func withIndex(b []byte, replace func(idx []byte) []byte) []byte {
+	footer := append([]byte(nil), b[len(b)-footerSizeV2:]...)
+	idxOff := binary.BigEndian.Uint64(footer[0:8])
+	idxLen := uint64(binary.BigEndian.Uint32(footer[8:12]))
+	bloomOff := binary.BigEndian.Uint64(footer[12:20])
+	bloomLen := uint64(binary.BigEndian.Uint32(footer[20:24]))
+	idx := replace(b[idxOff : idxOff+idxLen])
+	binary.BigEndian.PutUint32(footer[8:12], uint32(len(idx)))
+	binary.BigEndian.PutUint64(footer[12:20], idxOff+uint64(len(idx)))
+	out := append(append([]byte(nil), b[:idxOff]...), idx...)
+	out = append(out, b[bloomOff:bloomOff+bloomLen]...)
+	return append(out, footer...)
+}
+
+// withIndexEntries rewrites the decoded index entries through edit.
+func withIndexEntries(b []byte, edit func([]indexEntry)) []byte {
+	return withIndex(b, func(idx []byte) []byte {
+		es, err := decodeIndex(idx)
+		if err != nil {
+			panic(err)
+		}
+		edit(es)
+		out := binary.AppendUvarint(nil, uint64(len(es)))
+		for _, e := range es {
+			out = appendIndexEntry(out, e)
+		}
+		return out
+	})
+}
+
+// writeV1StoreFile lays down a store file in the retired format v1 — one
+// unframed block, the index, and a 20-byte footer ending in the v1 magic —
+// as builds before format v2 wrote it.
+func writeV1StoreFile(t *testing.T, fs *dfs.FS, path string, entries []kv.KeyValue) {
+	t.Helper()
+	var block []byte
+	for _, e := range entries {
+		block = kv.AppendKeyValue(block, e)
+	}
+	idx := binary.AppendUvarint(nil, 1)
+	idx = appendIndexEntry(idx, indexEntry{first: entries[0].Cell, offset: 0, length: len(block)})
+	footer := binary.BigEndian.AppendUint64(nil, uint64(len(block)))
+	footer = binary.BigEndian.AppendUint32(footer, uint32(len(idx)))
+	footer = binary.BigEndian.AppendUint64(footer, 0x7874734653544f52) // "xtsFSTOR"
+	w, err := fs.CreateFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rows = 50
-	flushGen := func(gen int) {
-		batch := make([]kv.KeyValue, 0, rows)
-		for i := 0; i < rows; i++ {
+	for _, b := range [][]byte{block, idx, footer} {
+		if err := w.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenStoreFileRejectsV1: a format-v1 file is no longer readable. The
+// open must fail with ErrBadStoreFile — and so must opening a region that
+// holds one — rather than serve the file's bytes under the wrong layout.
+func TestOpenStoreFileRejectsV1(t *testing.T) {
+	fs := dfs.New(dfs.Config{})
+	info := RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}}
+	path := dataDir(info.Table, info.ID) + "00000001.sf"
+	writeV1StoreFile(t, fs, path, compressibleEntries(20))
+
+	if _, err := OpenStoreFile(fs, path); !errors.Is(err, ErrBadStoreFile) {
+		t.Fatalf("open v1 file: got %v, want ErrBadStoreFile", err)
+	}
+	if _, err := OpenRegion(fs, NewBlockCache(1<<20), info); !errors.Is(err, ErrBadStoreFile) {
+		t.Fatalf("open region holding a v1 file: got %v, want ErrBadStoreFile", err)
+	}
+}
+
+// FuzzOpenStoreFile feeds mutated store files to the opener. Whatever the
+// bytes, open, a point read and a full scan each return a result or an
+// error; none may panic or allocate from an unchecked length.
+func FuzzOpenStoreFile(f *testing.F) {
+	seedFS := dfs.New(dfs.Config{})
+	if _, err := WriteStoreFile(seedFS, "/seed", compressibleEntries(8), 128); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := seedFS.ReadAll("/seed")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fs := dfs.New(dfs.Config{})
+		w, err := fs.CreateFile("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sf, err := OpenStoreFile(fs, "/f")
+		if err != nil {
+			return
+		}
+		cache := NewBlockCache(1 << 20)
+		_, _, _ = sf.Get("row00003", "c", kv.MaxTimestamp, cache)
+		_, _ = sf.ScanRange(nil, kv.KeyRange{}, kv.MaxTimestamp, cache)
+	})
+}
+
+// TestCompactTieredSelectsReferencesAndConverges drives a region holding a
+// split-reference file and flush generations of mixed sizes through tiered
+// compaction: the reference is in the must-rewrite set, repeated rounds
+// converge (CompactTiered eventually reports no work), and every generation
+// still reads back under horizon 0.
+func TestCompactTieredSelectsReferencesAndConverges(t *testing.T) {
+	fs := dfs.New(dfs.Config{})
+	cache := NewBlockCache(1 << 20)
+	info := RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}}
+	gens := []int{200, 20, 20, 100, 5} // rows per generation
+	genKVs := func(gen int) []kv.KeyValue {
+		batch := make([]kv.KeyValue, 0, gens[gen])
+		for i := 0; i < gens[gen]; i++ {
 			batch = append(batch, mkKV(
 				fmt.Sprintf("row%05d", i), "c", kv.Timestamp(gen*1000+i+1),
 				fmt.Sprintf("g%d-%d", gen, i)))
 		}
-		r.Apply(batch)
+		return batch
+	}
+
+	// Generation 0 lives in a parent region's file, reached through a
+	// reference as a split daughter would after a split.
+	parent := dataDir(info.Table, "t-parent") + "00000000.sf"
+	if _, err := WriteStoreFile(fs, parent, genKVs(0), 256); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenRegion(fs, cache, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRef(r, info.Table, info.ID, 0, parent); err != nil {
+		t.Fatal(err)
+	}
+	if r, err = OpenRegion(fs, cache, info); err != nil {
+		t.Fatal(err)
+	}
+	for gen := 1; gen < len(gens); gen++ {
+		r.Apply(genKVs(gen))
 		if err := r.Flush(256); err != nil {
 			t.Fatalf("flush gen %d: %v", gen, err)
 		}
 	}
-	countVersions := func() (nv1, nv2 int) {
-		v := r.acquireView()
-		defer r.releaseView(v)
-		for _, f := range v.files {
-			if f.Version() == StoreFileV1 {
-				nv1++
-			} else {
-				nv2++
-			}
-		}
-		return
+
+	v := r.acquireView()
+	if len(v.files) != len(gens) {
+		t.Fatalf("%d files, want %d", len(v.files), len(gens))
+	}
+	var refSelected bool
+	for _, f := range selectCompactionInputs(v.files) {
+		refSelected = refSelected || f.refMarker != ""
+	}
+	r.releaseView(v)
+	if !refSelected {
+		t.Fatal("split-reference file missing from the must-rewrite set")
 	}
 
-	// Two flushes from the region's v1 era, then one after the configured
-	// format moves to v2 — the mixed layout a rolling upgrade leaves behind.
-	r.sfOpts = StoreFileOptions{Version: StoreFileV1}
-	flushGen(1)
-	flushGen(2)
-	r.sfOpts = StoreFileOptions{}
-	flushGen(3)
-	if nv1, nv2 := countVersions(); nv1 != 2 || nv2 != 1 {
-		t.Fatalf("mixed layout: %d v1 + %d v2 files, want 2 + 1", nv1, nv2)
-	}
-
-	changed, err := r.CompactTiered(256, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed {
-		t.Fatal("first tiered round must rewrite the legacy v1 files")
-	}
-	if nv1, _ := countVersions(); nv1 != 0 {
-		t.Fatalf("%d v1 files survive a tiered round; must-rewrite should claim all", nv1)
-	}
 	for rounds := 0; ; rounds++ {
-		if rounds > 5 {
-			t.Fatal("tiered compaction does not converge")
+		if rounds >= 5 {
+			t.Fatal("tiered compaction does not converge within 5 rounds")
 		}
 		changed, err := r.CompactTiered(256, 0)
 		if err != nil {
@@ -216,21 +339,21 @@ func TestCompactTieredUpgradesMixedFormats(t *testing.T) {
 			break
 		}
 	}
+	v = r.acquireView()
+	for _, f := range v.files {
+		if f.refMarker != "" {
+			t.Fatalf("reference %s survived tiered compaction", f.refMarker)
+		}
+	}
+	r.releaseView(v)
 
-	// Every row reads back at its newest generation through the upgraded
-	// files; all three generations survive under horizon 0.
-	for i := 0; i < rows; i++ {
-		row := kv.Key(fmt.Sprintf("row%05d", i))
-		got, found, err := r.Get(row, "c", kv.MaxTimestamp)
-		if err != nil || !found {
-			t.Fatalf("get %s after upgrade: %v %v", row, found, err)
-		}
-		if want := fmt.Sprintf("g3-%d", i); string(got.Value) != want {
-			t.Fatalf("row %s = %q, want %q", row, got.Value, want)
-		}
-		got, found, err = r.Get(row, "c", kv.Timestamp(1000+i+1))
-		if err != nil || !found || string(got.Value) != fmt.Sprintf("g1-%d", i) {
-			t.Fatalf("row %s old version after upgrade: %q %v %v", row, got.Value, found, err)
+	for gen, n := range gens {
+		for i := 0; i < n; i++ {
+			row := kv.Key(fmt.Sprintf("row%05d", i))
+			got, found, err := r.Get(row, "c", kv.Timestamp(gen*1000+i+1))
+			if want := fmt.Sprintf("g%d-%d", gen, i); err != nil || !found || string(got.Value) != want {
+				t.Fatalf("row %s at gen %d: %q %v %v, want %q", row, gen, got.Value, found, err, want)
+			}
 		}
 	}
 }

@@ -81,12 +81,6 @@ type Region struct {
 	reclaim *metrics.ReclaimMetrics // nil-safe; set by the hosting server
 	stats   *FileStats              // nil-safe; shared cluster-wide, set by the hosting server
 
-	// sfOpts are the store-file write options (format version, codec, bloom
-	// sizing) for flushes and compactions; set by the hosting server. The
-	// zero value writes v2 with defaults. BlockSize and Stats are filled in
-	// per write by writeOpts.
-	sfOpts StoreFileOptions
-
 	// abandoned is set when the hosting server crashes: late view drains
 	// from the dead incarnation must not unlink files — the region's next
 	// incarnation discovered them by listing and may be serving them.
@@ -463,23 +457,10 @@ func (r *Region) Flush(blockSize int) error {
 	return nil
 }
 
-// writeOpts returns the region's store-file write options with the
-// per-call block size and the shared stats sink filled in.
+// writeOpts returns the store-file write options for the per-call block
+// size and the region's shared stats sink.
 func (r *Region) writeOpts(blockSize int) StoreFileOptions {
-	opts := r.sfOpts
-	opts.BlockSize = blockSize
-	opts.Stats = r.stats
-	return opts
-}
-
-// targetStoreFileVersion is the format version the region's writes produce
-// — the bar below which tiered compaction treats an existing file as
-// must-rewrite.
-func (r *Region) targetStoreFileVersion() int {
-	if r.sfOpts.Version == StoreFileV1 {
-		return StoreFileV1
-	}
-	return StoreFileV2
+	return StoreFileOptions{BlockSize: blockSize, Stats: r.stats}
 }
 
 // Files returns the number of store files, for tests and stats.

@@ -287,7 +287,6 @@ func (s *RegionServer) OpenRegionFollower(info RegionInfo, epoch uint64) error {
 	}
 	r.reclaim = s.cfg.Reclaim
 	r.stats = s.cfg.FileStats
-	r.sfOpts = s.storeFileOpts()
 	entry := &regionEntry{r: r, online: false}
 	entry.rep.role.Store(int32(RoleFollower))
 	entry.rep.epoch.Store(epoch)
@@ -430,7 +429,6 @@ func (s *RegionServer) ApplyReplCheckpoint(regionID string, epoch, seq uint64) e
 	}
 	fresh.reclaim = s.cfg.Reclaim
 	fresh.stats = s.cfg.FileStats
-	fresh.sfOpts = s.storeFileOpts()
 	var kept []ReplEntry
 	if !reset {
 		for _, en := range rep.tail {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"txkv/internal/compress"
 	"txkv/internal/dfs"
 	"txkv/internal/kv"
 	"txkv/internal/metrics"
@@ -69,13 +68,6 @@ type ServerConfig struct {
 	// fresh WAL generation and synced, so the old generations remain
 	// deletable. Zero flushes every region on each roll.
 	RollFlushMinBytes int
-	// StoreFileVersion selects the store-file format flushes and
-	// compactions write: 0 or StoreFileV2 for v2 (bloom + compression),
-	// StoreFileV1 for the legacy format (version-migration tests, bench
-	// baselines). Readers always accept both.
-	StoreFileVersion int
-	// Compression names the v2 block codec ("snappy", "none"; "" = snappy).
-	Compression string
 	// Reclaim, when set, receives store-file retirement counters and is
 	// propagated to every region this server opens. Nil records nothing.
 	Reclaim *metrics.ReclaimMetrics
@@ -540,28 +532,6 @@ func (s *RegionServer) Get(table string, row kv.Key, column string, maxTS kv.Tim
 	return r.Get(row, column, maxTS)
 }
 
-// Scan serves a range read over the hosted portion of the range.
-func (s *RegionServer) Scan(table string, rng kv.KeyRange, maxTS kv.Timestamp, limit int) ([]kv.KeyValue, error) {
-	s.mu.RLock()
-	crashed := s.crashed
-	s.mu.RUnlock()
-	if crashed {
-		return nil, ErrServerStopped
-	}
-	var out []kv.KeyValue
-	for _, r := range s.hostedRegions() {
-		if r.Info.Table != table || !r.Info.Range.Overlaps(rng) {
-			continue
-		}
-		part, err := r.ScanRange(rng, maxTS, limit)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-	}
-	return out, nil
-}
-
 // OpenRegion opens a region on this server: store files are recovered from
 // the DFS, recovered WAL edits (from the master's log split) are replayed,
 // and then — before the region is declared online — preOnline is awaited.
@@ -602,7 +572,6 @@ func (s *RegionServer) OpenRegionFiles(info RegionInfo, files []string, recovere
 func (s *RegionServer) installRegion(r *Region, info RegionInfo, recoveredEdits []WALEntry, preOnline func() error) error {
 	r.reclaim = s.cfg.Reclaim
 	r.stats = s.cfg.FileStats
-	r.sfOpts = s.storeFileOpts()
 	// HBase-internal recovery: replay the split WAL edits into the fresh
 	// memstore.
 	for _, e := range recoveredEdits {
@@ -669,7 +638,6 @@ func (s *RegionServer) OpenRegionRecovering(info RegionInfo, files []string, has
 	}
 	r.reclaim = s.cfg.Reclaim
 	r.stats = s.cfg.FileStats
-	r.sfOpts = s.storeFileOpts()
 	for _, e := range recoveredEdits {
 		r.Apply(e.KVs)
 	}
@@ -894,17 +862,6 @@ func (s *RegionServer) appendWALEntry(e WALEntry) error {
 		return ErrServerStopped
 	}
 	return w.Append(EncodeWALEntry(e))
-}
-
-// storeFileOpts resolves the configured store-file write options. An
-// unknown codec name falls back to the default rather than failing region
-// opens: the format knob is an operator tuning, not a correctness input.
-func (s *RegionServer) storeFileOpts() StoreFileOptions {
-	opts := StoreFileOptions{Version: s.cfg.StoreFileVersion}
-	if c, err := compress.ForName(s.cfg.Compression); err == nil {
-		opts.Codec = c
-	}
-	return opts
 }
 
 // compactionHorizon resolves the version-GC horizon for a compaction.

@@ -45,7 +45,7 @@ func TestServerOperationsAfterCrash(t *testing.T) {
 	if _, _, err := srv.Get("t", "a", "f", kv.MaxTimestamp); !errors.Is(err, ErrServerStopped) {
 		t.Fatalf("get after crash: %v", err)
 	}
-	if _, err := srv.Scan("t", kv.KeyRange{}, kv.MaxTimestamp, 0); !errors.Is(err, ErrServerStopped) {
+	if _, err := srv.ScanBatch(context.Background(), ScanRequest{Table: "t", MaxTS: kv.MaxTimestamp}); !errors.Is(err, ErrServerStopped) {
 		t.Fatalf("scan after crash: %v", err)
 	}
 	if err := srv.SyncWAL(); !errors.Is(err, ErrServerStopped) {

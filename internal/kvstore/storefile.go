@@ -14,14 +14,14 @@ import (
 )
 
 // Store files are the immutable, sorted on-DFS files produced by memstore
-// flushes (HBase's HFiles). Format v2 layout:
+// flushes (HBase's HFiles). Layout (format version 2):
 //
 //	[framed block]* [index] [bloom] [footer]
 //
 // Each data block holds consecutive encoded KeyValues up to ~blockSize bytes
-// before framing. A v2 frame is [codecID byte][payload]: the writer encodes
-// the block with the file's codec but falls back to storing it raw (codec ID
-// 0) when compression does not shrink it, so every block is self-describing.
+// before framing. A frame is [codecID byte][payload]: the writer encodes the
+// block with snappy but falls back to storing it raw (codec ID 0) when
+// compression does not shrink it, so every block is self-describing.
 // The bloom section is a serialized row-key filter probed by point reads to
 // skip files that cannot contain a row. The fixed-size footer records the
 // index and bloom extents, the file codec, a version byte, and a magic
@@ -29,31 +29,26 @@ import (
 // one block through the server's block cache, which holds *decompressed*
 // bytes so a cache hit never pays decompression.
 //
-// Format v1 ([data block]* [index] [footer], no framing, no bloom, 20-byte
-// footer with its own magic) remains fully readable: the opener dispatches
-// on the trailing magic, so a DataDir written before v2 reopens unchanged
-// and is rewritten to v2 as compactions rewrite its files.
+// Format version 1 (unframed blocks, no bloom, a 20-byte footer with its own
+// magic) is no longer read: such a file fails OpenStoreFile with
+// ErrBadStoreFile, so a region holding one refuses to open instead of
+// serving wrong data.
 
 const (
 	defaultBlockSize = 4096
 
-	storeFileMagic   = 0x7874734653544f52 // "xtsFSTOR", format v1
-	storeFileMagicV2 = 0x7874734653543256 // "xtsFST2V", format v2
+	storeFileMagicV2 = 0x7874734653543256 // "xtsFST2V"
 
-	// footerSize is the v1 footer: indexOff(8) indexLen(4) magic(8).
-	footerSize = 8 + 4 + 8
-	// footerSizeV2 adds the bloom extent, codec, and version:
-	// indexOff(8) indexLen(4) bloomOff(8) bloomLen(4) codec(1) version(1)
-	// magic(8).
+	// footerSizeV2 is indexOff(8) indexLen(4) bloomOff(8) bloomLen(4)
+	// codec(1) version(1) magic(8).
 	footerSizeV2 = 8 + 4 + 8 + 4 + 1 + 1 + 8
 
-	// Store-file format versions, as written in the v2 footer.
-	StoreFileV1 = 1
-	StoreFileV2 = 2
+	// storeFileV2 is the format version byte in the footer.
+	storeFileV2 = 2
 
-	// defaultBloomBitsPerKey sizes the row-key bloom filter: 10 bits/key
-	// gives ~1% false positives at ~1.25 bytes/row of overhead.
-	defaultBloomBitsPerKey = 10
+	// bloomBitsPerKey sizes the row-key bloom filter: 10 bits/key gives ~1%
+	// false positives at ~1.25 bytes/row of overhead.
+	bloomBitsPerKey = 10
 )
 
 // ErrBadStoreFile reports a malformed store file.
@@ -82,6 +77,11 @@ func decodeIndex(b []byte) ([]indexEntry, error) {
 		return nil, ErrBadStoreFile
 	}
 	b = b[rest:]
+	if n > uint64(len(b)) {
+		// Every entry takes at least one byte: a larger count is corrupt
+		// and must not size the allocation below.
+		return nil, ErrBadStoreFile
+	}
 	out := make([]indexEntry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var e indexEntry
@@ -128,45 +128,17 @@ func decodeIndex(b []byte) ([]indexEntry, error) {
 const tmpSuffix = ".tmp"
 
 // StoreFileOptions control how WriteStoreFileWith lays a file down.
-// The zero value writes format v2 with the default (snappy) codec and the
-// default bloom sizing.
 type StoreFileOptions struct {
 	// BlockSize is the target uncompressed block size; 0 means the default.
 	BlockSize int
-	// Version selects the on-disk format: 0 or StoreFileV2 writes v2,
-	// StoreFileV1 writes the legacy format (for version-migration tests and
-	// the coldread baseline).
-	Version int
-	// Codec compresses v2 blocks; nil means the default (snappy). Ignored
-	// for v1.
-	Codec compress.Codec
-	// BloomBitsPerKey sizes the v2 row-key bloom filter; 0 means the
-	// default (10), negative disables the filter. Ignored for v1.
-	BloomBitsPerKey int
 	// Stats, when non-nil, accumulates compressed/uncompressed block byte
 	// counts as the file is written.
 	Stats *FileStats
 }
 
-func (o StoreFileOptions) withDefaults() StoreFileOptions {
-	if o.BlockSize <= 0 {
-		o.BlockSize = defaultBlockSize
-	}
-	if o.Version == 0 {
-		o.Version = StoreFileV2
-	}
-	if o.Codec == nil {
-		o.Codec = compress.Snappy{}
-	}
-	if o.BloomBitsPerKey == 0 {
-		o.BloomBitsPerKey = defaultBloomBitsPerKey
-	}
-	return o
-}
-
-// WriteStoreFile writes the sorted entries as a format-v2 store file at path
-// with default options and returns an opened reader for it. Entries must
-// already be in store order.
+// WriteStoreFile writes the sorted entries as a store file at path with
+// default options and returns an opened reader for it. Entries must already
+// be in store order.
 func WriteStoreFile(fs dfs.FileSystem, path string, entries []kv.KeyValue, blockSize int) (*StoreFile, error) {
 	return WriteStoreFileWith(fs, path, entries, StoreFileOptions{BlockSize: blockSize})
 }
@@ -177,7 +149,9 @@ func WriteStoreFile(fs dfs.FileSystem, path string, entries []kv.KeyValue, block
 // metadata operation), so the file is either fully present under its final
 // name or not present at all.
 func WriteStoreFileWith(fs dfs.FileSystem, path string, entries []kv.KeyValue, opts StoreFileOptions) (*StoreFile, error) {
-	opts = opts.withDefaults()
+	if opts.BlockSize <= 0 {
+		opts.BlockSize = defaultBlockSize
+	}
 	tmp := path + tmpSuffix
 	w, err := fs.CreateFile(tmp)
 	if err != nil {
@@ -191,9 +165,9 @@ func WriteStoreFileWith(fs dfs.FileSystem, path string, entries []kv.KeyValue, o
 		}
 	}()
 
-	v2 := opts.Version != StoreFileV1
+	codec := compress.Snappy{}
 	var filter *bloom.Filter
-	if v2 && opts.BloomBitsPerKey > 0 && len(entries) > 0 {
+	if len(entries) > 0 {
 		// Entries are sorted, so distinct rows are a single pass.
 		rows := 1
 		for i := 1; i < len(entries); i++ {
@@ -201,7 +175,7 @@ func WriteStoreFileWith(fs dfs.FileSystem, path string, entries []kv.KeyValue, o
 				rows++
 			}
 		}
-		filter = bloom.New(rows, opts.BloomBitsPerKey)
+		filter = bloom.New(rows, bloomBitsPerKey)
 	}
 
 	var (
@@ -214,27 +188,23 @@ func WriteStoreFileWith(fs dfs.FileSystem, path string, entries []kv.KeyValue, o
 		if len(blockBuf) == 0 {
 			return nil
 		}
-		out := blockBuf
-		if v2 {
-			// Frame: [codecID][payload], falling back to a raw frame when
-			// the codec does not shrink the block.
-			frameBuf = append(frameBuf[:0], opts.Codec.ID())
-			frameBuf = opts.Codec.Encode(frameBuf, blockBuf)
-			if opts.Codec.ID() == compress.IDNone || len(frameBuf)-1 >= len(blockBuf) {
-				frameBuf = append(frameBuf[:0], compress.IDNone)
-				frameBuf = append(frameBuf, blockBuf...)
-			}
-			out = frameBuf
-			if opts.Stats != nil {
-				opts.Stats.BlockUncompressedBytes.Add(int64(len(blockBuf)))
-				opts.Stats.BlockCompressedBytes.Add(int64(len(out) - 1))
-			}
+		// Frame: [codecID][payload], falling back to a raw frame when the
+		// codec does not shrink the block.
+		frameBuf = append(frameBuf[:0], codec.ID())
+		frameBuf = codec.Encode(frameBuf, blockBuf)
+		if len(frameBuf)-1 >= len(blockBuf) {
+			frameBuf = append(frameBuf[:0], compress.IDNone)
+			frameBuf = append(frameBuf, blockBuf...)
 		}
-		index = append(index, indexEntry{first: first, offset: fileOff, length: len(out)})
-		if err := w.Append(out); err != nil {
+		if opts.Stats != nil {
+			opts.Stats.BlockUncompressedBytes.Add(int64(len(blockBuf)))
+			opts.Stats.BlockCompressedBytes.Add(int64(len(frameBuf) - 1))
+		}
+		index = append(index, indexEntry{first: first, offset: fileOff, length: len(frameBuf)})
+		if err := w.Append(frameBuf); err != nil {
 			return err
 		}
-		fileOff += int64(len(out))
+		fileOff += int64(len(frameBuf))
 		blockBuf = blockBuf[:0]
 		return nil
 	}
@@ -266,39 +236,26 @@ func WriteStoreFileWith(fs dfs.FileSystem, path string, entries []kv.KeyValue, o
 	if err := w.Append(idx); err != nil {
 		return nil, err
 	}
-	size := fileOff + int64(len(idx))
-
-	if !v2 {
-		var footer [footerSize]byte
-		binary.BigEndian.PutUint64(footer[0:8], uint64(fileOff))
-		binary.BigEndian.PutUint32(footer[8:12], uint32(len(idx)))
-		binary.BigEndian.PutUint64(footer[12:20], storeFileMagic)
-		if err := w.Append(footer[:]); err != nil {
+	bloomOff := fileOff + int64(len(idx))
+	var bloomBytes []byte
+	if filter != nil {
+		bloomBytes = filter.Marshal(nil)
+		if err := w.Append(bloomBytes); err != nil {
 			return nil, err
 		}
-		size += footerSize
-	} else {
-		bloomOff := fileOff + int64(len(idx))
-		var bloomBytes []byte
-		if filter != nil {
-			bloomBytes = filter.Marshal(nil)
-			if err := w.Append(bloomBytes); err != nil {
-				return nil, err
-			}
-		}
-		var footer [footerSizeV2]byte
-		binary.BigEndian.PutUint64(footer[0:8], uint64(fileOff))
-		binary.BigEndian.PutUint32(footer[8:12], uint32(len(idx)))
-		binary.BigEndian.PutUint64(footer[12:20], uint64(bloomOff))
-		binary.BigEndian.PutUint32(footer[20:24], uint32(len(bloomBytes)))
-		footer[24] = opts.Codec.ID()
-		footer[25] = StoreFileV2
-		binary.BigEndian.PutUint64(footer[26:34], storeFileMagicV2)
-		if err := w.Append(footer[:]); err != nil {
-			return nil, err
-		}
-		size += int64(len(bloomBytes)) + footerSizeV2
 	}
+	var footer [footerSizeV2]byte
+	binary.BigEndian.PutUint64(footer[0:8], uint64(fileOff))
+	binary.BigEndian.PutUint32(footer[8:12], uint32(len(idx)))
+	binary.BigEndian.PutUint64(footer[12:20], uint64(bloomOff))
+	binary.BigEndian.PutUint32(footer[20:24], uint32(len(bloomBytes)))
+	footer[24] = codec.ID()
+	footer[25] = storeFileV2
+	binary.BigEndian.PutUint64(footer[26:34], storeFileMagicV2)
+	if err := w.Append(footer[:]); err != nil {
+		return nil, err
+	}
+	size := bloomOff + int64(len(bloomBytes)) + footerSizeV2
 	if err := w.Sync(); err != nil {
 		return nil, fmt.Errorf("kvstore: sync store file: %w", err)
 	}
@@ -309,37 +266,18 @@ func WriteStoreFileWith(fs dfs.FileSystem, path string, entries []kv.KeyValue, o
 		return nil, fmt.Errorf("kvstore: publish store file: %w", err)
 	}
 	committed = true
-	version := StoreFileV2
-	codecID := opts.Codec.ID()
-	if !v2 {
-		version = StoreFileV1
-		codecID = compress.IDNone
-		filter = nil
-	}
-	return &StoreFile{
-		fs:      fs,
-		path:    path,
-		index:   index,
-		entries: len(entries),
-		version: version,
-		codecID: codecID,
-		bloom:   filter,
-		size:    size,
-	}, nil
+	return &StoreFile{fs: fs, path: path, index: index, bloom: filter, size: size}, nil
 }
 
-// StoreFile reads an immutable sorted file. The index (and, for v2, the
-// bloom filter) is held in memory (HBase keeps HFile indexes resident); data
-// blocks are fetched through a BlockCache.
+// StoreFile reads an immutable sorted file. The index and the bloom filter
+// are held in memory (HBase keeps HFile indexes resident); data blocks are
+// fetched through a BlockCache.
 type StoreFile struct {
-	fs      dfs.FileSystem
-	path    string
-	index   []indexEntry
-	entries int
-	version int           // StoreFileV1 or StoreFileV2
-	codecID byte          // file default codec (v2); frames may override to raw
-	bloom   *bloom.Filter // nil for v1 files or bloom-disabled writes
-	size    int64         // on-disk byte size, for tier selection
+	fs    dfs.FileSystem
+	path  string
+	index []indexEntry
+	bloom *bloom.Filter // nil for an empty file
+	size  int64         // on-disk byte size, for tier selection
 	// refMarker is the path of the reference file this store file was
 	// opened through (region splits share parent files via references);
 	// empty for files owned by the region itself. Compactions delete the
@@ -392,62 +330,26 @@ func (s *StoreFile) retire() bool {
 	return false
 }
 
-// OpenStoreFile opens the store file at path, dispatching on the trailing
-// magic so both format versions read back.
+// OpenStoreFile opens the store file at path. The footer must carry the
+// current version byte and magic; anything else, including a format-v1
+// file, is ErrBadStoreFile.
 func OpenStoreFile(fs dfs.FileSystem, path string) (*StoreFile, error) {
 	size, err := fs.Size(path)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open store file: %w", err)
 	}
-	if size < footerSize {
-		return nil, fmt.Errorf("%w: %s too small", ErrBadStoreFile, path)
-	}
-	tail, err := fs.ReadRange(path, size-8, 8)
-	if err != nil {
-		return nil, err
-	}
-	if len(tail) != 8 {
-		return nil, fmt.Errorf("%w: %s bad footer", ErrBadStoreFile, path)
-	}
-	switch binary.BigEndian.Uint64(tail) {
-	case storeFileMagic:
-		return openStoreFileV1(fs, path, size)
-	case storeFileMagicV2:
-		return openStoreFileV2(fs, path, size)
-	}
-	return nil, fmt.Errorf("%w: %s bad footer", ErrBadStoreFile, path)
-}
-
-func openStoreFileV1(fs dfs.FileSystem, path string, size int64) (*StoreFile, error) {
-	footer, err := fs.ReadRange(path, size-footerSize, footerSize)
-	if err != nil {
-		return nil, err
-	}
-	if len(footer) != footerSize {
-		return nil, fmt.Errorf("%w: %s bad footer", ErrBadStoreFile, path)
-	}
-	idxOff := int64(binary.BigEndian.Uint64(footer[0:8]))
-	idxLen := int(binary.BigEndian.Uint32(footer[8:12]))
-	index, err := readIndexSection(fs, path, size, idxOff, idxLen)
-	if err != nil {
-		return nil, err
-	}
-	return &StoreFile{fs: fs, path: path, index: index, version: StoreFileV1, size: size}, nil
-}
-
-func openStoreFileV2(fs dfs.FileSystem, path string, size int64) (*StoreFile, error) {
 	if size < footerSizeV2 {
-		return nil, fmt.Errorf("%w: %s too small for v2 footer", ErrBadStoreFile, path)
+		return nil, fmt.Errorf("%w: %s too small", ErrBadStoreFile, path)
 	}
 	footer, err := fs.ReadRange(path, size-footerSizeV2, footerSizeV2)
 	if err != nil {
 		return nil, err
 	}
-	if len(footer) != footerSizeV2 || footer[25] != StoreFileV2 {
-		return nil, fmt.Errorf("%w: %s bad v2 footer", ErrBadStoreFile, path)
+	if len(footer) != footerSizeV2 || footer[25] != storeFileV2 ||
+		binary.BigEndian.Uint64(footer[26:34]) != storeFileMagicV2 {
+		return nil, fmt.Errorf("%w: %s bad footer", ErrBadStoreFile, path)
 	}
-	codecID := footer[24]
-	if _, err := compress.ForID(codecID); err != nil {
+	if _, err := compress.ForID(footer[24]); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrBadStoreFile, path, err)
 	}
 	idxOff := int64(binary.BigEndian.Uint64(footer[0:8]))
@@ -472,15 +374,7 @@ func openStoreFileV2(fs dfs.FileSystem, path string, size int64) (*StoreFile, er
 			return nil, fmt.Errorf("%w: %s: %v", ErrBadStoreFile, path, err)
 		}
 	}
-	return &StoreFile{
-		fs:      fs,
-		path:    path,
-		index:   index,
-		version: StoreFileV2,
-		codecID: codecID,
-		bloom:   filter,
-		size:    size,
-	}, nil
+	return &StoreFile{fs: fs, path: path, index: index, bloom: filter, size: size}, nil
 }
 
 // readIndexSection validates the index extent and decodes it.
@@ -496,22 +390,25 @@ func readIndexSection(fs dfs.FileSystem, path string, size, idxOff int64, idxLen
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	// Blocks precede the index: an extent reaching past it is corrupt.
+	for _, e := range index {
+		if e.offset < 0 || e.length < 0 || e.offset > idxOff || int64(e.length) > idxOff-e.offset {
+			return nil, fmt.Errorf("%w: %s block extent out of bounds", ErrBadStoreFile, path)
+		}
+	}
 	return index, nil
 }
 
 // Path returns the DFS path of the file.
 func (s *StoreFile) Path() string { return s.path }
 
-// Version returns the on-disk format version (StoreFileV1 or StoreFileV2).
-func (s *StoreFile) Version() int { return s.version }
-
 // DiskSize returns the file's on-disk byte size, used by size-tiered
 // compaction selection.
 func (s *StoreFile) DiskSize() int64 { return s.size }
 
 // MayContainRow probes the file's bloom filter. False is definitive: the
-// file holds no cell of row. Files without a filter (v1, bloom disabled)
-// report true. Allocation-free.
+// file holds no cell of row. A file without a filter (an empty one)
+// reports true. Allocation-free.
 func (s *StoreFile) MayContainRow(row kv.Key) bool {
 	return s.bloom.MayContain(string(row))
 }
@@ -556,20 +453,16 @@ func (s *StoreFile) block(i int, cache *BlockCache) ([]kv.KeyValue, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.version >= StoreFileV2 {
-			if len(b) == 0 {
-				return nil, fmt.Errorf("%w: %s block %d empty frame", ErrBadStoreFile, s.path, i)
-			}
-			codec, err := compress.ForID(b[0])
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s block %d: %v", ErrBadStoreFile, s.path, i, err)
-			}
-			raw, err = codec.Decode(nil, b[1:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s block %d: %v", ErrBadStoreFile, s.path, i, err)
-			}
-		} else {
-			raw = b
+		if len(b) == 0 {
+			return nil, fmt.Errorf("%w: %s block %d empty frame", ErrBadStoreFile, s.path, i)
+		}
+		codec, err := compress.ForID(b[0])
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s block %d: %v", ErrBadStoreFile, s.path, i, err)
+		}
+		raw, err = codec.Decode(nil, b[1:])
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s block %d: %v", ErrBadStoreFile, s.path, i, err)
 		}
 		if cache != nil {
 			cache.Put(key, raw)
