@@ -135,6 +135,15 @@ type Txn struct {
 	readOnly bool
 	sp       *obs.Span // commit-pipeline trace; nil when tracing is off or read-only
 
+	// deferred marks a remote Update attempt that has not sent its gateway
+	// begin yet; it begins, at mode, on its first read (see snapshot) or
+	// else inside its commit. bmu guards h and begun of a deferred
+	// transaction; a transaction that is not deferred never changes h.
+	deferred bool
+	mode     SnapshotMode
+	bmu      sync.Mutex
+	begun    bool
+
 	mu       sync.Mutex
 	writes   []kv.Update
 	writeIdx map[string]int // coordinate+column -> index in writes
@@ -151,8 +160,14 @@ func (t *Txn) usableLocked() error {
 	return nil
 }
 
-// StartTS returns the transaction's snapshot timestamp.
-func (t *Txn) StartTS() kv.Timestamp { return t.h.StartTS }
+// StartTS returns the transaction's snapshot timestamp. A remote Update
+// transaction that has not read yet begins here; one that committed
+// without reading reports the start its commit was assigned, and one
+// that failed to begin reports 0.
+func (t *Txn) StartTS() kv.Timestamp {
+	ts, _ := t.snapshot()
+	return ts
+}
 
 // ReadOnly reports whether the transaction is read-only (View, BeginAt, or
 // TxnOptions.ReadOnly).
@@ -194,6 +209,10 @@ func (t *Txn) Get(ctx context.Context, table string, row kv.Key, column string) 
 	}
 	t.mu.Unlock()
 
+	ts, err := t.snapshot()
+	if err != nil {
+		return nil, false, opErr("get", table, row, err)
+	}
 	mctx, release := t.client.opCtx(ctx)
 	defer release()
 	if tr := t.client.tracer(); tr.Enabled() {
@@ -201,7 +220,7 @@ func (t *Txn) Get(ctx context.Context, table string, row kv.Key, column string) 
 		mctx, sp = tr.StartSpan(mctx, "get")
 		defer sp.Finish()
 	}
-	e, found, err := t.client.kv.Get(mctx, table, row, column, t.h.StartTS)
+	e, found, err := t.client.kv.Get(mctx, table, row, column, ts)
 	if err != nil || !found {
 		return nil, false, opErr("get", table, row, err)
 	}

@@ -238,6 +238,29 @@ func (g *txnGateway) Commit(ctx context.Context, sessionID, handle uint64, updat
 	if t == nil {
 		return 0, txmgr.ErrTxnNotActive
 	}
+	return commitGateway(ctx, t, updates, wait)
+}
+
+// BeginCommit implements rpc.TxnBackend: Begin then Commit without the
+// round trip between them. The begin keeps the requested snapshot mode —
+// the default's wait for a readable snapshot included — so the commit
+// validates exactly as a TBegin/TCommit pair would. The transaction never
+// enters the session's handle table: nothing else can address it.
+func (g *txnGateway) BeginCommit(ctx context.Context, sessionID uint64, clientID string, mode int, updates []kv.Update, wait bool) (kv.Timestamp, kv.Timestamp, error) {
+	s, err := g.session(sessionID, clientID)
+	if err != nil {
+		return 0, 0, err
+	}
+	t, err := s.client.BeginTxn(TxnOptions{Mode: SnapshotMode(mode)})
+	if err != nil {
+		return 0, 0, err
+	}
+	cts, err := commitGateway(ctx, t, updates, wait)
+	return t.StartTS(), cts, err
+}
+
+// commitGateway buffers a remote client's write-set into t and commits it.
+func commitGateway(ctx context.Context, t *Txn, updates []kv.Update, wait bool) (kv.Timestamp, error) {
 	if len(updates) > 0 {
 		if t.ReadOnly() {
 			t.Abort()
@@ -295,6 +318,7 @@ func (g *txnGateway) EndSession(sessionID uint64) {
 type RemoteTxnService interface {
 	BeginRemote(ctx context.Context, clientID string, readOnly bool, snapTS kv.Timestamp, mode int) (uint64, kv.Timestamp, error)
 	CommitRemote(ctx context.Context, handle uint64, updates []kv.Update, wait bool) (kv.Timestamp, error)
+	BeginCommitRemote(ctx context.Context, clientID string, mode int, updates []kv.Update, wait bool) (startTS, cts kv.Timestamp, err error)
 	AbortRemote(ctx context.Context, handle uint64) error
 }
 
@@ -410,29 +434,95 @@ func (r *Remote) Close() {
 // the handle and timestamp; reads use the timestamp locally.
 func (cl *Client) beginRemoteTxn(opts TxnOptions) (*Txn, error) {
 	readOnly := opts.ReadOnly || opts.SnapshotTS != 0
-	ctx, cancel := context.WithTimeout(cl.ctx, connectProbeTimeout)
-	defer cancel()
-	h, startTS, err := cl.remote.txn.BeginRemote(ctx, cl.id, readOnly, opts.SnapshotTS, int(opts.Mode))
+	h, err := cl.remoteBegin(readOnly, opts.SnapshotTS, opts.Mode)
 	if err != nil {
-		return nil, opErr("begin", "", "", err)
+		return nil, err
 	}
-	t := &Txn{
-		client:   cl,
-		h:        txmgr.TxnHandle{ID: h, ClientID: cl.id, StartTS: startTS},
-		readOnly: readOnly,
-	}
+	t := &Txn{client: cl, h: h, readOnly: readOnly}
 	if !readOnly {
 		t.writeIdx = make(map[string]int)
 	}
 	return t, nil
 }
 
+// remoteBegin sends one gateway begin. It is bounded by the client's
+// lifetime and connectProbeTimeout, never by a caller's context: a begin
+// abandoned after it left could leave its handle open at the gateway.
+func (cl *Client) remoteBegin(readOnly bool, snapTS kv.Timestamp, mode SnapshotMode) (txmgr.TxnHandle, error) {
+	ctx, cancel := context.WithTimeout(cl.ctx, connectProbeTimeout)
+	defer cancel()
+	h, startTS, err := cl.remote.txn.BeginRemote(ctx, cl.id, readOnly, snapTS, int(mode))
+	if err != nil {
+		return txmgr.TxnHandle{}, opErr("begin", "", "", err)
+	}
+	return txmgr.TxnHandle{ID: h, ClientID: cl.id, StartTS: startTS}, nil
+}
+
+// deferredRemoteTxn starts an Update attempt of a remote client without a
+// gateway begin: the transaction begins at its first read (Txn.snapshot),
+// or — when it reads nothing — inside its commit, one round trip instead
+// of two. Only Update defers: an explicit BeginTxn's snapshot point is
+// observable to its caller, and a View always reads.
+func (cl *Client) deferredRemoteTxn(opts TxnOptions) (*Txn, error) {
+	cl.mu.Lock()
+	closed := cl.closed
+	cl.mu.Unlock()
+	if closed {
+		return nil, opErr("begin", "", "", ErrClientClosed)
+	}
+	return &Txn{client: cl, deferred: true, mode: opts.Mode, writeIdx: make(map[string]int)}, nil
+}
+
+// snapshot returns the timestamp the transaction reads at, first sending
+// the gateway begin of a deferred transaction that has none yet. Small
+// enough to inline: the in-process read path pays one field test.
+func (t *Txn) snapshot() (kv.Timestamp, error) {
+	if !t.deferred {
+		return t.h.StartTS, nil
+	}
+	return t.beginDeferred()
+}
+
+// beginDeferred is snapshot for a deferred transaction. After a folded
+// commit it returns the start the gateway assigned, with ErrTxnFinished.
+func (t *Txn) beginDeferred() (kv.Timestamp, error) {
+	t.bmu.Lock()
+	defer t.bmu.Unlock()
+	if t.begun {
+		return t.h.StartTS, nil
+	}
+	t.mu.Lock()
+	err := t.usableLocked()
+	t.mu.Unlock()
+	if err != nil {
+		return t.h.StartTS, err
+	}
+	h, err := t.client.remoteBegin(false, 0, t.mode)
+	if err != nil {
+		return 0, err
+	}
+	t.h, t.begun = h, true
+	return h.StartTS, nil
+}
+
 // commitRemoteTxn ships the buffered write-set to the gateway, which
-// validates and commits it server-side. A transport failure mid-commit maps
-// to ErrCommitIndeterminate — the request may have executed; the gateway's
-// recovery protection finishes the flush either way if it did.
+// validates and commits it server-side — beginning it first, in the same
+// round trip, when the transaction is deferred and never read. A transport
+// failure mid-commit maps to ErrCommitIndeterminate — the request may have
+// executed; the gateway's recovery protection finishes the flush either
+// way if it did.
 func (cl *Client) commitRemoteTxn(ctx context.Context, t *Txn, updates []kv.Update, wait bool) (kv.Timestamp, error) {
-	cts, err := cl.remote.txn.CommitRemote(ctx, t.h.ID, updates, wait)
+	t.bmu.Lock()
+	var (
+		cts kv.Timestamp
+		err error
+	)
+	if t.deferred && !t.begun {
+		t.h.StartTS, cts, err = cl.remote.txn.BeginCommitRemote(ctx, cl.id, int(t.mode), updates, wait)
+	} else {
+		cts, err = cl.remote.txn.CommitRemote(ctx, t.h.ID, updates, wait)
+	}
+	t.bmu.Unlock()
 	if err != nil && errors.Is(err, rpc.ErrCommitIndeterminate) {
 		err = fmt.Errorf("%w: %v", ErrCommitIndeterminate, err)
 	}
@@ -444,8 +534,15 @@ func (cl *Client) commitRemoteTxn(ctx context.Context, t *Txn, updates []kv.Upda
 
 // abortRemoteTxn releases a remote transaction. Best-effort: if the
 // connection is down, the gateway aborts the session's transactions itself.
+// A deferred transaction that never began has nothing to release.
 func (cl *Client) abortRemoteTxn(t *Txn) {
+	t.bmu.Lock()
+	id, begun := t.h.ID, !t.deferred || t.begun
+	t.bmu.Unlock()
+	if !begun {
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), connectProbeTimeout)
 	defer cancel()
-	_ = cl.remote.txn.AbortRemote(ctx, t.h.ID)
+	_ = cl.remote.txn.AbortRemote(ctx, id)
 }

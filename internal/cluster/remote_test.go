@@ -11,6 +11,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,6 +220,230 @@ func TestRemoteReadOnlyAndConflictAcrossWire(t *testing.T) {
 	}
 	if _, err := t2.Commit(ctx); !errors.Is(err, txmgr.ErrConflict) {
 		t.Fatalf("second commit: got %v, want ErrConflict across the wire", err)
+	}
+}
+
+// gatewayRequests returns how many requests of each transaction-gateway
+// method the serving process has handled so far.
+func gatewayRequests(c *Cluster) map[string]int64 {
+	counters := c.Obs().Snapshot().Counters
+	out := make(map[string]int64)
+	for _, m := range []string{"t.begin", "t.commit", "t.abort", "t.begin_commit"} {
+		out[m] = counters["rpc.server.req."+m]
+	}
+	return out
+}
+
+// requestsSince returns the gateway requests handled since before.
+func requestsSince(c *Cluster, before map[string]int64) map[string]int64 {
+	out := gatewayRequests(c)
+	for m, n := range before {
+		out[m] -= n
+	}
+	return out
+}
+
+func connectRemoteClient(t *testing.T, addr, id string) *Client {
+	t.Helper()
+	remote, err := ConnectRemote(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(remote.Close)
+	cl, err := remote.NewClient(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	return cl
+}
+
+// TestRemoteUpdateBeginsAtFirstRead checks when a remote Update's
+// transaction begins: a closure that only writes begins inside its commit
+// (one TBeginCommit, no TBegin), and one that reads — or asks for its
+// snapshot — begins then, with the usual TBegin and TCommit.
+func TestRemoteUpdateBeginsAtFirstRead(t *testing.T) {
+	c, addr, _ := startRemoteCluster(t, 2)
+	if err := c.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	cl := connectRemoteClient(t, addr, "fold")
+	ctx := context.Background()
+	seed, err := cl.Update(ctx, func(txn *Txn) error { return txn.Put(ctx, "t", "seed", "v", []byte("s")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := gatewayRequests(c)
+	var blind *Txn
+	cts, err := cl.Update(ctx, func(txn *Txn) error {
+		blind = txn
+		for _, row := range []kv.Key{"a", "b", "c"} {
+			if err := txn.Put(ctx, "t", row, "v", []byte("blind-"+string(row))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"t.begin": 0, "t.commit": 0, "t.abort": 0, "t.begin_commit": 1}
+	if got := requestsSince(c, before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("blind update sent %v, want %v", got, want)
+	}
+	if start := blind.StartTS(); start < seed || start >= cts {
+		t.Fatalf("StartTS after a folded commit = %d, want the gateway's start in [%d, %d)", start, seed, cts)
+	}
+	if got := requestsSince(c, before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("StartTS after commit sent requests: %v, want %v", got, want)
+	}
+
+	// A closure that reads begins at the read, and sees the blind commit.
+	before = gatewayRequests(c)
+	if _, err := cl.Update(ctx, func(txn *Txn) error {
+		v, ok, err := txn.Get(ctx, "t", "a", "v")
+		if err != nil {
+			return err
+		}
+		if !ok || string(v) != "blind-a" {
+			return fmt.Errorf("read %q found=%v, want the blind commit's value", v, ok)
+		}
+		return txn.Put(ctx, "t", "a", "v", append(v, '+'))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want = map[string]int64{"t.begin": 1, "t.commit": 1, "t.abort": 0, "t.begin_commit": 0}
+	if got := requestsSince(c, before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read-write update sent %v, want %v", got, want)
+	}
+
+	// So does one that asks for its snapshot.
+	before = gatewayRequests(c)
+	if _, err := cl.Update(ctx, func(txn *Txn) error {
+		if txn.StartTS() <= cts {
+			return fmt.Errorf("StartTS %d not after the blind commit %d", txn.StartTS(), cts)
+		}
+		return txn.Put(ctx, "t", "d", "v", []byte("d"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := requestsSince(c, before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("update calling StartTS sent %v, want %v", got, want)
+	}
+
+	// Concurrent first reads of one transaction share a single begin.
+	before = gatewayRequests(c)
+	if _, err := cl.Update(ctx, func(txn *Txn) error {
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for _, row := range []kv.Key{"a", "b", "c", "d"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _, err := txn.Get(ctx, "t", row, "v")
+				errs <- err
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return txn.Put(ctx, "t", "e", "v", []byte("e"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := requestsSince(c, before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("update with concurrent first reads sent %v, want %v", got, want)
+	}
+}
+
+// TestRemoteUpdateFailingBeforeReadSendsNothing: a closure that fails
+// before its first read leaves nothing to begin, commit or abort.
+func TestRemoteUpdateFailingBeforeReadSendsNothing(t *testing.T) {
+	c, addr, _ := startRemoteCluster(t, 1)
+	if err := c.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	cl := connectRemoteClient(t, addr, "noop")
+	ctx := context.Background()
+	appErr := errors.New("application refused")
+
+	before := gatewayRequests(c)
+	_, err := cl.Update(ctx, func(txn *Txn) error {
+		if err := txn.Put(ctx, "t", "k", "v", []byte("never")); err != nil {
+			return err
+		}
+		return appErr
+	})
+	if !errors.Is(err, appErr) {
+		t.Fatalf("Update: got %v, want the closure's error", err)
+	}
+	want := map[string]int64{"t.begin": 0, "t.commit": 0, "t.abort": 0, "t.begin_commit": 0}
+	if got := requestsSince(c, before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("failed closure sent %v, want no gateway request", got)
+	}
+}
+
+// TestRemoteConcurrentIncrementsLoseNoUpdate: two remote clients, each on
+// its own connection, race read-modify-write increments of one counter.
+// Every increment reads at its begin, so the conflicts are detected and
+// retried and the counter ends at exactly the number of increments.
+func TestRemoteConcurrentIncrementsLoseNoUpdate(t *testing.T) {
+	c, addr, _ := startRemoteCluster(t, 2)
+	if err := c.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	const perClient = 10
+	clients := []*Client{connectRemoteClient(t, addr, "inc-1"), connectRemoteClient(t, addr, "inc-2")}
+	ctx := context.Background()
+	opts := TxnOptions{MaxRetries: 1000, RetryBackoff: 100 * time.Microsecond}
+
+	errs := make(chan error, len(clients)*perClient)
+	var wg sync.WaitGroup
+	for _, cl := range clients {
+		for i := 0; i < perClient; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, err := cl.UpdateWith(ctx, opts, func(txn *Txn) error {
+					v, _, err := txn.Get(ctx, "t", "counter", "n")
+					if err != nil {
+						return err
+					}
+					n := 0
+					if v != nil {
+						if n, err = strconv.Atoi(string(v)); err != nil {
+							return err
+						}
+					}
+					return txn.Put(ctx, "t", "counter", "n", []byte(strconv.Itoa(n+1)))
+				})
+				errs <- err
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("increment: %v", err)
+		}
+	}
+	if err := clients[0].View(ctx, func(txn *Txn) error {
+		v, _, err := txn.Get(ctx, "t", "counter", "n")
+		if err != nil {
+			return err
+		}
+		if want := strconv.Itoa(len(clients) * perClient); string(v) != want {
+			return fmt.Errorf("counter = %q, want %s", v, want)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -120,12 +120,16 @@ func (t *Txn) Scan(ctx context.Context, table string, rng kv.KeyRange, opts Scan
 	if opts.Limit > 0 {
 		baseOpts.Limit = opts.Limit + tombstones
 	}
+	ts, err := t.snapshot()
+	if err != nil {
+		return errScanner(table, err)
+	}
 	mctx, release := t.client.opCtx(ctx)
 	// The span rides the scan context, so each batch fetch records a
 	// scan.fill stage onto it; the span finishes when the scan closes.
 	mctx, sp := t.client.tracer().StartSpan(mctx, "scan")
 	return &Scanner{
-		base:     t.client.kv.NewScanner(mctx, table, rng, t.h.StartTS, baseOpts),
+		base:     t.client.kv.NewScanner(mctx, table, rng, ts, baseOpts),
 		table:    table,
 		cancel:   release,
 		sp:       sp,
@@ -271,9 +275,13 @@ func (t *Txn) GetBatch(ctx context.Context, table string, keys []kv.CellKey) ([]
 	t.mu.Unlock()
 
 	if len(missKeys) > 0 {
+		ts, err := t.snapshot()
+		if err != nil {
+			return nil, opErr("getbatch", table, "", err)
+		}
 		mctx, release := t.client.opCtx(ctx)
 		defer release()
-		kvs, found, err := t.client.kv.GetBatch(mctx, table, missKeys, t.h.StartTS)
+		kvs, found, err := t.client.kv.GetBatch(mctx, table, missKeys, ts)
 		if err != nil {
 			return nil, opErr("getbatch", table, "", err)
 		}

@@ -192,8 +192,10 @@ func (cl *Client) BeginAt(ts kv.Timestamp) (*Txn, error) {
 //
 // fn may run multiple times (once per attempt, each on a fresh snapshot with
 // an empty write buffer), so it must not leak side effects other than its
-// transaction writes. A non-nil error from fn aborts the transaction and is
-// returned as is (no retry — only commit-time conflicts retry). When the
+// transaction writes. On a remote client an attempt takes its snapshot at
+// its first read; one that only writes begins inside its commit, in the
+// same gateway round trip. A non-nil error from fn aborts the transaction
+// and is returned as is (no retry — only commit-time conflicts retry). When the
 // retry budget is exhausted the last conflict error is returned
 // (errors.Is(err, ErrConflict)). On success Update returns the commit
 // timestamp; commit durability semantics are those of Txn.Commit.
@@ -216,7 +218,13 @@ func (cl *Client) UpdateWith(ctx context.Context, opts TxnOptions, fn func(*Txn)
 		if err := ctx.Err(); err != nil {
 			return 0, opErr("update", "", "", err)
 		}
-		txn, err := cl.BeginTxn(opts)
+		var txn *Txn
+		var err error
+		if cl.remote != nil {
+			txn, err = cl.deferredRemoteTxn(opts)
+		} else {
+			txn, err = cl.BeginTxn(opts)
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -371,8 +379,12 @@ func (t *Txn) DeleteRange(ctx context.Context, table string, rng kv.KeyRange) (i
 	}
 	t.mu.Unlock()
 
+	ts, err := t.snapshot()
+	if err != nil {
+		return 0, opErr("deleterange", table, rng.Start, err)
+	}
 	mctx, release := t.client.opCtx(ctx)
-	coords, err := t.client.kv.RangeCoords(mctx, table, rng, t.h.StartTS)
+	coords, err := t.client.kv.RangeCoords(mctx, table, rng, ts)
 	release()
 	if err != nil {
 		return 0, opErr("deleterange", table, rng.Start, err)

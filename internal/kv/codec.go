@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Binary codecs for KeyValue and WriteSet. The encodings are used by the
@@ -62,9 +64,23 @@ func readBytes(b []byte) ([]byte, []byte, error) {
 	return append([]byte(nil), rest[:n]...), rest[n:], nil
 }
 
+// UvarintSize returns the length of v's uvarint encoding.
+func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// lenPrefixedSize returns the encoded length of an n-byte string or byte
+// slice: its uvarint length prefix plus the bytes.
+func lenPrefixedSize(n int) int { return UvarintSize(uint64(n)) + n }
+
+// KeyValueSize returns the exact length of e's AppendKeyValue encoding.
+func KeyValueSize(e KeyValue) int {
+	return 1 + lenPrefixedSize(len(e.Row)) + lenPrefixedSize(len(e.Column)) +
+		UvarintSize(uint64(e.TS)) + 1 + lenPrefixedSize(len(e.Value))
+}
+
 // AppendKeyValue appends the binary encoding of e to b and returns the
-// extended slice.
+// extended slice. It grows b at most once.
 func AppendKeyValue(b []byte, e KeyValue) []byte {
+	b = slices.Grow(b, KeyValueSize(e))
 	b = append(b, kvFormatV1)
 	b = appendString(b, string(e.Row))
 	b = appendString(b, e.Column)
@@ -117,9 +133,26 @@ func DecodeKeyValue(b []byte) (KeyValue, []byte, error) {
 	return e, b, nil
 }
 
+// WriteSetSize returns the exact length of w's EncodeWriteSet encoding.
+func WriteSetSize(w WriteSet) int {
+	n := 1 + UvarintSize(w.TxnID) + lenPrefixedSize(len(w.ClientID)) +
+		UvarintSize(uint64(w.CommitTS)) + UvarintSize(uint64(len(w.Updates)))
+	for _, u := range w.Updates {
+		n += lenPrefixedSize(len(u.Table)) + lenPrefixedSize(len(u.Row)) +
+			lenPrefixedSize(len(u.Column)) + 1 + lenPrefixedSize(len(u.Value))
+	}
+	return n
+}
+
 // EncodeWriteSet returns the binary encoding of w.
 func EncodeWriteSet(w WriteSet) []byte {
-	b := make([]byte, 0, 64+32*len(w.Updates))
+	return AppendWriteSet(make([]byte, 0, WriteSetSize(w)), w)
+}
+
+// AppendWriteSet appends the binary encoding of w to b and returns the
+// extended slice: EncodeWriteSet for callers that embed the write-set in a
+// larger message.
+func AppendWriteSet(b []byte, w WriteSet) []byte {
 	b = append(b, wsFormatV1)
 	b = binary.AppendUvarint(b, w.TxnID)
 	b = appendString(b, w.ClientID)

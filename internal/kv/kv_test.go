@@ -1,8 +1,10 @@
 package kv
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -284,6 +286,29 @@ func TestWriteSetCodecQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodedSizesAreExact checks the size functions the encoders allocate
+// by against the encodings themselves, across every uvarint width boundary.
+func TestEncodedSizesAreExact(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, 1<<63 - 1, 1 << 63, ^uint64(0)} {
+		if got, want := UvarintSize(v), len(binary.AppendUvarint(nil, v)); got != want {
+			t.Errorf("UvarintSize(%d) = %d, want %d", v, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+		s := strings.Repeat("x", n)
+		e := KeyValue{Cell: Cell{Row: Key(s), Column: s, TS: Timestamp(n) << 50}, Value: []byte(s)}
+		if got, want := KeyValueSize(e), len(AppendKeyValue(nil, e)); got != want {
+			t.Errorf("KeyValueSize(len %d) = %d, want %d", n, got, want)
+		}
+		w := WriteSet{TxnID: uint64(n) << 40, ClientID: s, CommitTS: MaxTimestamp,
+			Updates: []Update{{Table: s, Row: Key(s), Column: s, Value: []byte(s)}, {Tombstone: true}}}
+		enc := EncodeWriteSet(w)
+		if len(enc) != WriteSetSize(w) || cap(enc) != len(enc) {
+			t.Errorf("write-set with %d-byte fields: len %d cap %d, WriteSetSize %d", n, len(enc), cap(enc), WriteSetSize(w))
+		}
 	}
 }
 

@@ -171,19 +171,22 @@ func (m *MemStore) findPredsAt(level int, c kv.Cell, preds, succs *[skipMaxLevel
 }
 
 // seek returns the first node whose cell is >= the given cell in store
-// order.
+// order. It returns the level-0 successor it compared, not a re-load of
+// the predecessor's link: a node inserted concurrently behind the
+// predecessor may sort before c.
 func (m *MemStore) seek(c kv.Cell) *skipNode {
 	x := m.head
+	var nxt *skipNode
 	for i := skipMaxLevel - 1; i >= 0; i-- {
 		for {
-			nxt := x.next[i].Load()
+			nxt = x.next[i].Load()
 			if nxt == nil || kv.CompareCells(nxt.cell, c) >= 0 {
 				break
 			}
 			x = nxt
 		}
 	}
-	return x.next[0].Load()
+	return nxt
 }
 
 // Get returns the newest version of (row, column) with timestamp <= maxTS.
@@ -192,7 +195,8 @@ func (m *MemStore) seek(c kv.Cell) *skipNode {
 // semantics when merging across stores). Lock-free and allocation-free.
 func (m *MemStore) Get(row kv.Key, column string, maxTS kv.Timestamp) (kv.KeyValue, bool) {
 	// Store order is ts-descending, so seeking to (row, column, maxTS)
-	// lands on the newest version with ts <= maxTS.
+	// lands on the newest version with ts <= maxTS; a version from the
+	// read's future sorts before that cell, so seek never returns one.
 	n := m.seek(kv.Cell{Row: row, Column: column, TS: maxTS})
 	if n == nil || n.cell.Row != row || n.cell.Column != column {
 		return kv.KeyValue{}, false

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -258,6 +259,44 @@ func TestMemStoreConcurrentInsertOrder(t *testing.T) {
 			t.Fatalf("iteration %d: level 0 holds %d cells, want %d", iter, n, writers*puts)
 		}
 	}
+}
+
+// TestMemStoreGetNeverReturnsFutureVersion reads one cell at the newest
+// committed timestamp while a writer keeps inserting newer versions of it,
+// each directly behind the node the reader's seek stands on. A seek that
+// re-loads its predecessor's link after comparing the successor can return
+// such a newer version: a snapshot read of the future.
+func TestMemStoreGetNeverReturnsFutureVersion(t *testing.T) {
+	const versions = 100_000
+	m := NewMemStore()
+	m.Put(mkKV("r", "c", 1, "v"))
+	var committed atomic.Int64
+	committed.Store(1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ts := kv.Timestamp(2); ts <= versions; ts++ {
+			m.Put(mkKV("r", "c", ts, "v"))
+			committed.Store(int64(ts))
+		}
+		close(stop)
+	}()
+	reads := 0
+	for done := false; !done; reads++ {
+		select {
+		case <-stop:
+			done = true
+		default:
+		}
+		maxTS := kv.Timestamp(committed.Load())
+		e, ok := m.Get("r", "c", maxTS)
+		if !ok || e.TS != maxTS {
+			t.Fatalf("read %d: Get at %d returned version %d (found %v), want %d", reads, maxTS, e.TS, ok, maxTS)
+		}
+	}
+	wg.Wait()
 }
 
 func BenchmarkMemStorePut(b *testing.B) {

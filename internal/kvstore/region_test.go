@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -17,7 +19,11 @@ func TestWALEntryRoundTrip(t *testing.T) {
 			{Cell: kv.Cell{Row: "r2", Column: "c2", TS: 9}, Tombstone: true},
 		},
 	}
-	got, err := DecodeWALEntry(EncodeWALEntry(e))
+	enc := EncodeWALEntry(e)
+	if cap(enc) != len(enc) {
+		t.Fatalf("encoding of %d bytes in a %d-byte buffer: not sized exactly", len(enc), cap(enc))
+	}
+	got, err := DecodeWALEntry(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +47,11 @@ func TestWALEntryDecodeErrors(t *testing.T) {
 		if _, err := DecodeWALEntry(good[:cut]); err == nil {
 			t.Errorf("truncation at %d must fail", cut)
 		}
+	}
+	// An entry count beyond the bytes left fails before allocating for it.
+	huge := binary.AppendUvarint(append(binary.AppendUvarint(nil, 1), 'r'), 1<<40)
+	if _, err := DecodeWALEntry(append(huge, good[3:]...)); !errors.Is(err, kv.ErrCodecTruncated) {
+		t.Errorf("entry count 1<<40: got %v, want ErrCodecTruncated", err)
 	}
 }
 

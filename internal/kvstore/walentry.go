@@ -18,7 +18,11 @@ type WALEntry struct {
 
 // EncodeWALEntry returns the binary encoding of e.
 func EncodeWALEntry(e WALEntry) []byte {
-	b := make([]byte, 0, 32+64*len(e.KVs))
+	n := kv.UvarintSize(uint64(len(e.RegionID))) + len(e.RegionID) + kv.UvarintSize(uint64(len(e.KVs)))
+	for _, x := range e.KVs {
+		n += kv.KeyValueSize(x)
+	}
+	b := make([]byte, 0, n)
 	b = binary.AppendUvarint(b, uint64(len(e.RegionID)))
 	b = append(b, e.RegionID...)
 	b = binary.AppendUvarint(b, uint64(len(e.KVs)))
@@ -42,6 +46,9 @@ func DecodeWALEntry(b []byte) (WALEntry, error) {
 		return e, fmt.Errorf("kvstore: wal entry: %w", kv.ErrCodecTruncated)
 	}
 	b = b[c:]
+	if count > uint64(len(b)) { // each entry takes >= 1 byte: bound the allocation
+		return e, fmt.Errorf("kvstore: wal entry: %d entries in %d bytes: %w", count, len(b), kv.ErrCodecTruncated)
+	}
 	e.KVs = make([]kv.KeyValue, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var x kv.KeyValue

@@ -164,11 +164,7 @@ func (c *Conn) Call(ctx context.Context, method byte, body []byte) ([]byte, erro
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	// Request body: deadline prefix + method payload.
-	buf := make([]byte, 0, 4+frameHeaderBytes+8+len(body))
-	wire := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(body)), deadline)
-	wire = append(wire, body...)
-	buf, err := AppendFrame(buf, Frame{Ver: Version, Kind: KindRequest, Method: method, ID: id, Body: wire})
+	buf, err := appendRequest(method, id, deadline, body)
 	if err != nil {
 		c.forget(id)
 		return nil, err
@@ -210,6 +206,17 @@ func (c *Conn) Call(ctx context.Context, method byte, body []byte) ([]byte, erro
 	}
 }
 
+// appendRequest encodes one request frame — header, deadline prefix and
+// method payload — in a single allocation.
+func appendRequest(method byte, id, deadline uint64, body []byte) ([]byte, error) {
+	buf, err := appendFrameHeader(make([]byte, 0, 4+frameHeaderBytes+8+len(body)), Version, KindRequest, method, id, 8+len(body))
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.BigEndian.AppendUint64(buf, deadline)
+	return append(buf, body...), nil
+}
+
 // forget abandons a pending request (cancellation, write failure).
 func (c *Conn) forget(id uint64) {
 	c.mu.Lock()
@@ -249,9 +256,7 @@ func (c *Conn) Stream(method byte, body []byte) (*ClientStream, error) {
 	c.streams[id] = ch
 	c.mu.Unlock()
 
-	wire := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(body)), 0)
-	wire = append(wire, body...)
-	buf, err := AppendFrame(nil, Frame{Ver: Version, Kind: KindRequest, Method: method, ID: id, Body: wire})
+	buf, err := appendRequest(method, id, 0, body)
 	if err != nil {
 		c.dropStream(id)
 		return nil, err

@@ -73,14 +73,23 @@ type Frame struct {
 // AppendFrame appends f's encoding to dst and returns the extended slice.
 // It fails only when the body exceeds MaxFrameBytes.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
-	n := frameHeaderBytes + len(f.Body)
+	dst, err := appendFrameHeader(dst, f.Ver, f.Kind, f.Method, f.ID, len(f.Body))
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, f.Body...), nil
+}
+
+// appendFrameHeader appends the length prefix and header of a frame whose
+// body will be bodyLen bytes; the caller appends the body.
+func appendFrameHeader(dst []byte, ver, kind, method byte, id uint64, bodyLen int) ([]byte, error) {
+	n := frameHeaderBytes + bodyLen
 	if n > MaxFrameBytes {
 		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, f.Ver, f.Kind, f.Method)
-	dst = binary.BigEndian.AppendUint64(dst, f.ID)
-	return append(dst, f.Body...), nil
+	dst = append(dst, ver, kind, method)
+	return binary.BigEndian.AppendUint64(dst, id), nil
 }
 
 // ReadFrame reads and decodes one frame from r. The returned frame's Body

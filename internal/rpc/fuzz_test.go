@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"txkv/internal/kv"
 	"txkv/internal/kvstore"
 )
 
@@ -55,6 +56,7 @@ func FuzzMessageDecoders(f *testing.F) {
 	f.Add(encGetReq("t", "r", "c", 1))
 	f.Add(encScanReq(kvstore.ScanRequest{Table: "t", Batch: 8}))
 	f.Add(encCommitReq(1, nil, false))
+	f.Add(encBeginCommitReq("c", 1, []kv.Update{{Table: "t", Row: "r", Column: "c", Value: []byte("v")}}, true))
 	f.Add(encAppendEntriesReq("t.r1", 7, []kvstore.ReplEntry{{Seq: 1}}, 1, 9))
 	f.Add(encSetReplicationReq("t.r1", 7, []kvstore.ReplicaTarget{{ServerID: "rs-2"}}, 0))
 	f.Add(encSnapshotReq("t.r1", 3, 32))
@@ -80,6 +82,8 @@ func FuzzMessageDecoders(f *testing.F) {
 		_, _, _ = decBeginResp(data)
 		_, _, _, _ = decCommitReq(data)
 		_, _, _, _ = decCommitResp(data)
+		_, _, _, _, _ = decBeginCommitReq(data)
+		_, _, _, _, _ = decBeginCommitResp(data)
 		_, _, _ = decFAppendReq(data)
 		_, _, _ = decFRenameReq(data)
 		_, _, _, _ = decFReadRangeReq(data)

@@ -17,6 +17,7 @@ import (
 // this address again).
 type Pool struct {
 	reg *obs.Registry // optional; nil disables metrics
+	met poolMetrics   // reg's per-call instruments
 
 	mu     sync.Mutex
 	conns  map[string]*Conn
@@ -27,7 +28,7 @@ type Pool struct {
 // side RPC metrics (rpc.client.calls, rpc.client.errors,
 // rpc.client.redials, rpc.client.latency).
 func NewPool(reg *obs.Registry) *Pool {
-	return &Pool{reg: reg, conns: make(map[string]*Conn)}
+	return &Pool{reg: reg, met: poolMetrics{reg: reg}, conns: make(map[string]*Conn)}
 }
 
 // conn returns the live connection for addr, dialing if needed.
@@ -77,14 +78,14 @@ func (p *Pool) conn(addr string) (*Conn, error) {
 func (p *Pool) Call(ctx context.Context, addr string, method byte, body []byte) ([]byte, error) {
 	var start time.Time
 	if p.reg != nil {
-		p.reg.Counter("rpc.client.calls").Add(1)
+		p.met.callCount().Add(1)
 		start = time.Now()
 	}
 	resp, err := p.call(ctx, addr, method, body)
 	if p.reg != nil {
-		p.reg.Histogram("rpc.client.latency").Record(time.Since(start))
+		p.met.latencyHist().Record(time.Since(start))
 		if err != nil {
-			p.reg.Counter("rpc.client.errors").Add(1)
+			p.met.errorCount().Add(1)
 		}
 	}
 	return resp, err

@@ -7,6 +7,8 @@ package rpc
 // a review error. Keep the method list in sync with wire.go's constants.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -192,6 +194,18 @@ func TestProtocolRoundTrips(t *testing.T) {
 		}
 	})
 
+	t.Run("BeginCommit", func(t *testing.T) {
+		covers(TBeginCommit)
+		clientID, mode, updates, wait, err := decBeginCommitReq(encBeginCommitReq("c1", 2, sampleUpdates, true))
+		if err != nil || clientID != "c1" || mode != 2 || !wait || !reflect.DeepEqual(updates, sampleUpdates) {
+			t.Fatalf("req: got %q %d %v %v, %v", clientID, mode, updates, wait, err)
+		}
+		startTS, cts, code, msg, err := decBeginCommitResp(encBeginCommitResp(100, 101, CodeConflict, "boom"))
+		if err != nil || startTS != 100 || cts != 101 || code != CodeConflict || msg != "boom" {
+			t.Fatalf("resp: got %d %d %d %q, %v", startTS, cts, code, msg, err)
+		}
+	})
+
 	t.Run("handle-bodied messages", func(t *testing.T) {
 		covers(TAbort, FSync, FClose, FAbandon)
 		got, err := decHandleMsg(encHandleMsg(1 << 40))
@@ -372,7 +386,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	t.Run("every method covered", func(t *testing.T) {
 		all := []byte{
 			MLocateAll, MCreateTable, MSplitRegion, MTableRegions, MRegister, MHeartbeat,
-			TBegin, TCommit, TAbort,
+			TBegin, TCommit, TAbort, TBeginCommit,
 			RGet, RGetBatch, RScanBatch, RApply, ROpenRegion, RMarkOnline, RCloseRegion, RCloseFlush, RSyncWAL,
 			FCreate, FAppend, FSync, FClose, FAbandon, FDelete, FRename, FExists, FList, FSize, FReadAll, FReadRange,
 			WWatch, WCredit, WCancel,
@@ -414,4 +428,64 @@ func TestProtocolRoundTrips(t *testing.T) {
 			t.Fatal("remote conflict lost retryability")
 		}
 	})
+}
+
+// TestPresizedEncodersKeepWireBytes pins the encoders that size their
+// buffer up front and write the write-set in place to the bytes of the
+// plain field-by-field encoding, and checks that each allocates once: the
+// result's capacity covers it.
+func TestPresizedEncodersKeepWireBytes(t *testing.T) {
+	big := bytes.Repeat([]byte("v"), 300) // two-byte length prefixes
+	updates := []kv.Update{
+		{Table: "t", Row: "r", Column: "c", Value: big},
+		{Table: "t", Row: "r2", Column: "c", Tombstone: true},
+	}
+	ws := kv.WriteSet{TxnID: 1 << 30, ClientID: "c1", CommitTS: 1 << 50, Updates: updates}
+	kvs := []kv.KeyValue{
+		{Cell: kv.Cell{Row: "row-a", Column: "c1", TS: 1 << 40}, Value: big},
+		{Cell: kv.Cell{Row: "row-b", Column: "c2", TS: 9}, Tombstone: true},
+	}
+	appendKVs := func(b []byte) []byte {
+		b = appendUvarint(b, uint64(len(kvs)))
+		for _, e := range kvs {
+			b = kv.AppendKeyValue(b, e)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want []byte
+	}{
+		{"RApply", encApplyReq(ws, 1<<20, true),
+			appendBytes(appendBool(appendUvarint(nil, 1<<20), true), kv.EncodeWriteSet(ws))},
+		{"TCommit", encCommitReq(1<<33, updates, true),
+			appendBytes(appendBool(appendUvarint(nil, 1<<33), true), kv.EncodeWriteSet(kv.WriteSet{Updates: updates}))},
+		{"TBeginCommit", encBeginCommitReq("c1", 2, updates, false),
+			appendBytes(appendBool(appendUvarint(appendString(nil, "c1"), 2), false), kv.EncodeWriteSet(kv.WriteSet{Updates: updates}))},
+		{"RScanBatch response", encScanResp(kvstore.ScanResponse{KVs: kvs, More: true, RegionEnd: "m"}),
+			appendString(appendBool(appendKVs(nil), true), "m")},
+		{"RAppendEntries", appendReplEntries(nil, []kvstore.ReplEntry{{Seq: 1 << 20, KVs: kvs}, {Seq: 2}}),
+			appendUvarint(appendUvarint(appendKVs(appendUvarint(appendUvarint(nil, 2), 1<<20)), 2), 0)},
+		{"FAppend", encFAppendReq(1<<40, big), appendBytes(appendUvarint(nil, 1<<40), big)},
+	} {
+		if !bytes.Equal(tc.got, tc.want) {
+			t.Errorf("%s: encoding changed:\n got %x\nwant %x", tc.name, tc.got, tc.want)
+		}
+		if cap(tc.got) > len(tc.got)+3*binary.MaxVarintLen64 {
+			t.Errorf("%s: %d bytes in a %d-byte buffer: not sized up front", tc.name, len(tc.got), cap(tc.got))
+		}
+	}
+
+	// A request frame built in one buffer equals AppendFrame over the
+	// deadline-prefixed body.
+	body := encCommitReq(9, updates, true)
+	got, err := appendRequest(TCommit, 77, 1<<62, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := AppendFrame(nil, Frame{Ver: Version, Kind: KindRequest, Method: TCommit, ID: 77,
+		Body: append(binary.BigEndian.AppendUint64(nil, 1<<62), body...)})
+	if !bytes.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("request frame: got %x (cap %d), want %x", got, cap(got), want)
+	}
 }

@@ -10,12 +10,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"txkv/internal/kvstore"
+	"txkv/internal/obs"
 )
 
 // startTestServer serves s on an ephemeral port and returns its address.
@@ -233,5 +235,22 @@ func TestTransportErrorWrapsSentinel(t *testing.T) {
 	ln.Close()
 	if _, err := Dial(addr); !errors.Is(err, kvstore.ErrTransport) {
 		t.Fatalf("dial dead address: got %v, want ErrTransport", err)
+	}
+}
+
+// TestRequestMetricsResolvedOnce: counting a request takes no registry
+// lookup by name after the method's first request, while the registry —
+// and so /metrics — shows exactly the instruments recorded to.
+func TestRequestMetricsResolvedOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewServer(reg)
+	s.met.request(RGet)
+	if allocs := testing.AllocsPerRun(100, func() { s.met.request(RGet) }); allocs != 0 {
+		t.Fatalf("counting a request allocates %v times; its metric name is rebuilt", allocs)
+	}
+	got := reg.Snapshot().Counters
+	want := map[string]int64{"rpc.server.requests": 102, "rpc.server.req.r.get": 102}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry counters %v, want %v", got, want)
 	}
 }

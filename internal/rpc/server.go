@@ -129,6 +129,7 @@ func (s *Session) close() {
 // Server is an rpc listener: register handlers, then Serve a listener.
 type Server struct {
 	reg            *obs.Registry // optional; nil disables metrics
+	met            serverMetrics // reg's per-request instruments
 	maxInflight    int           // per-connection unary request cap; 0 = unlimited
 	handlers       [256]Handler
 	streamHandlers [256]StreamHandler
@@ -166,7 +167,12 @@ func NewServer(reg *obs.Registry) *Server {
 
 // NewServerWithConfig creates a server.
 func NewServerWithConfig(cfg ServerConfig) *Server {
-	return &Server{reg: cfg.Registry, maxInflight: cfg.MaxInflightPerConn, conns: make(map[net.Conn]struct{})}
+	return &Server{
+		reg:         cfg.Registry,
+		met:         serverMetrics{reg: cfg.Registry},
+		maxInflight: cfg.MaxInflightPerConn,
+		conns:       make(map[net.Conn]struct{}),
+	}
 }
 
 // flowControlMethod reports whether a method is stream flow control —
@@ -299,7 +305,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			case sem <- struct{}{}:
 			default:
 				if s.reg != nil {
-					s.reg.Counter("rpc.server.inflight_stalls").Add(1)
+					s.met.stallCount().Add(1)
 				}
 				sem <- struct{}{}
 			}
@@ -324,10 +330,10 @@ func (s *Server) serveConn(nc net.Conn) {
 // terminal frame.
 func (s *Server) dispatchStream(connCtx context.Context, nc net.Conn, wmu *sync.Mutex, sess *Session, f Frame) {
 	if s.reg != nil {
-		s.reg.Counter("rpc.server.requests").Add(1)
-		s.reg.Counter("rpc.server.req." + methodName(f.Method)).Add(1)
-		s.reg.Gauge("rpc.server.streams").Add(1)
-		defer s.reg.Gauge("rpc.server.streams").Add(-1)
+		s.met.request(f.Method)
+		streams := s.met.streamGauge()
+		streams.Add(1)
+		defer streams.Add(-1)
 	}
 
 	var err error
@@ -341,7 +347,7 @@ func (s *Server) dispatchStream(connCtx context.Context, nc net.Conn, wmu *sync.
 		err = s.streamHandlers[f.Method](connCtx, sess, f.Body[8:], st)
 	}
 	if err != nil && s.reg != nil {
-		s.reg.Counter("rpc.server.errors").Add(1)
+		s.met.errorCount().Add(1)
 	}
 
 	out := Frame{Ver: Version, ID: f.ID, Method: f.Method, Kind: KindResponse}
@@ -362,17 +368,16 @@ func (s *Server) dispatchStream(connCtx context.Context, nc net.Conn, wmu *sync.
 func (s *Server) dispatch(connCtx context.Context, nc net.Conn, wmu *sync.Mutex, sess *Session, f Frame) {
 	var start time.Time
 	if s.reg != nil {
-		s.reg.Counter("rpc.server.requests").Add(1)
-		s.reg.Counter("rpc.server.req." + methodName(f.Method)).Add(1)
+		s.met.request(f.Method)
 		start = time.Now()
 	}
 
 	resp, err := s.handle(connCtx, sess, f)
 
 	if s.reg != nil {
-		s.reg.Histogram("rpc.server.latency").Record(time.Since(start))
+		s.met.latencyHist().Record(time.Since(start))
 		if err != nil {
-			s.reg.Counter("rpc.server.errors").Add(1)
+			s.met.errorCount().Add(1)
 		}
 	}
 

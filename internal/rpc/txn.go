@@ -24,9 +24,13 @@ import (
 // TxnBackend is the server-side transaction executor the gateway service
 // dispatches to. Handles are backend-assigned and scoped to the session;
 // EndSession must abort every transaction the session still has open.
+// BeginCommit is Begin of a read-write transaction followed by its Commit,
+// in one request: the start timestamp is returned alongside the outcome
+// (zero if the begin itself failed).
 type TxnBackend interface {
 	Begin(sessionID uint64, clientID string, readOnly bool, snapTS kv.Timestamp, mode int) (handle uint64, startTS kv.Timestamp, err error)
 	Commit(ctx context.Context, sessionID, handle uint64, updates []kv.Update, wait bool) (kv.Timestamp, error)
+	BeginCommit(ctx context.Context, sessionID uint64, clientID string, mode int, updates []kv.Update, wait bool) (startTS, commitTS kv.Timestamp, err error)
 	Abort(sessionID, handle uint64) error
 	EndSession(sessionID uint64)
 }
@@ -70,6 +74,18 @@ func RegisterTxnService(s *Server, b TxnBackend) {
 		}
 		return encCommitResp(cts, 0, ""), nil
 	})
+	s.Handle(TBeginCommit, func(ctx context.Context, sess *Session, body []byte) ([]byte, error) {
+		clientID, mode, updates, wait, err := decBeginCommitReq(body)
+		if err != nil {
+			return nil, err
+		}
+		ensureSession(sess)
+		startTS, cts, err := b.BeginCommit(ctx, sess.ID(), clientID, int(mode), updates, wait)
+		if err != nil {
+			return encBeginCommitResp(startTS, cts, CodeFor(err), err.Error()), nil
+		}
+		return encBeginCommitResp(startTS, cts, 0, ""), nil
+	})
 	s.Handle(TAbort, func(_ context.Context, sess *Session, body []byte) ([]byte, error) {
 		handle, err := decHandleMsg(body)
 		if err != nil {
@@ -105,16 +121,11 @@ func (t *TxnClient) BeginRemote(ctx context.Context, clientID string, readOnly b
 }
 
 // CommitRemote ships the buffered write-set and commits. A transport
-// failure after the request may have left the commit in flight — the
-// gateway commits transactions independently of the requesting connection —
-// so it surfaces as ErrCommitIndeterminate, never as a clean abort.
+// failure is indeterminate (see commitCallErr).
 func (t *TxnClient) CommitRemote(ctx context.Context, handle uint64, updates []kv.Update, wait bool) (kv.Timestamp, error) {
 	resp, err := t.pool.Call(ctx, t.addr, TCommit, encCommitReq(handle, updates, wait))
 	if err != nil {
-		if errors.Is(err, kvstore.ErrTransport) {
-			return 0, fmt.Errorf("%w: connection lost with commit in flight: %v", ErrCommitIndeterminate, err)
-		}
-		return 0, err
+		return 0, commitCallErr(err)
 	}
 	cts, code, msg, err := decCommitResp(resp)
 	if err != nil {
@@ -124,6 +135,36 @@ func (t *TxnClient) CommitRemote(ctx context.Context, handle uint64, updates []k
 		return cts, &RemoteError{Code: code, Msg: msg}
 	}
 	return cts, nil
+}
+
+// BeginCommitRemote begins a read-write transaction at snapshot mode and
+// commits the write-set in it, in one round trip, returning the start and
+// commit timestamps. Transport failures are indeterminate, as for
+// CommitRemote.
+func (t *TxnClient) BeginCommitRemote(ctx context.Context, clientID string, mode int, updates []kv.Update, wait bool) (startTS, cts kv.Timestamp, err error) {
+	resp, err := t.pool.Call(ctx, t.addr, TBeginCommit, encBeginCommitReq(clientID, uint64(mode), updates, wait))
+	if err != nil {
+		return 0, 0, commitCallErr(err)
+	}
+	startTS, cts, code, msg, err := decBeginCommitResp(resp)
+	if err != nil {
+		return 0, 0, err
+	}
+	if code != 0 {
+		return startTS, cts, &RemoteError{Code: code, Msg: msg}
+	}
+	return startTS, cts, nil
+}
+
+// commitCallErr classifies a failed commit call: a transport failure after
+// the request may have left the commit in flight — the gateway commits
+// independently of the requesting connection — so it surfaces as
+// ErrCommitIndeterminate, never as a clean abort.
+func commitCallErr(err error) error {
+	if errors.Is(err, kvstore.ErrTransport) {
+		return fmt.Errorf("%w: connection lost with commit in flight: %v", ErrCommitIndeterminate, err)
+	}
+	return err
 }
 
 // AbortRemote discards a transaction.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"txkv/internal/kv"
@@ -29,9 +30,10 @@ const (
 	MHeartbeat    byte = 0x06
 
 	// Transaction gateway surface (served by the master process).
-	TBegin  byte = 0x20
-	TCommit byte = 0x21
-	TAbort  byte = 0x22
+	TBegin       byte = 0x20
+	TCommit      byte = 0x21
+	TAbort       byte = 0x22
+	TBeginCommit byte = 0x23
 
 	// Region-server surface (served by each region-server process).
 	RGet         byte = 0x40
@@ -94,6 +96,14 @@ func appendString(b []byte, s string) []byte {
 func appendBytes(b, v []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v)))
 	return append(b, v...)
+}
+
+// appendWriteSet appends ws, whose encoding is n bytes (kv.WriteSetSize),
+// as a length-prefixed bytes field, encoding it in place rather than
+// through an intermediate buffer. Callers size b for it up front.
+func appendWriteSet(b []byte, ws kv.WriteSet, n int) []byte {
+	b = appendUvarint(b, uint64(n))
+	return kv.AppendWriteSet(b, ws)
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -453,7 +463,11 @@ func decScanReq(b []byte) (kvstore.ScanRequest, error) {
 }
 
 func encScanResp(resp kvstore.ScanResponse) []byte {
-	b := appendUvarint(nil, uint64(len(resp.KVs)))
+	n := kv.UvarintSize(uint64(len(resp.KVs))) + 1 + kv.UvarintSize(uint64(len(resp.RegionEnd))) + len(resp.RegionEnd)
+	for _, e := range resp.KVs {
+		n += kv.KeyValueSize(e)
+	}
+	b := appendUvarint(make([]byte, 0, n), uint64(len(resp.KVs)))
 	for _, e := range resp.KVs {
 		b = kv.AppendKeyValue(b, e)
 	}
@@ -474,9 +488,11 @@ func decScanResp(b []byte) (kvstore.ScanResponse, error) {
 }
 
 func encApplyReq(ws kv.WriteSet, piggy kv.Timestamp, hasPiggy bool) []byte {
-	b := appendUvarint(nil, uint64(piggy))
+	n := kv.WriteSetSize(ws)
+	b := make([]byte, 0, 2*binary.MaxVarintLen64+1+n)
+	b = appendUvarint(b, uint64(piggy))
 	b = appendBool(b, hasPiggy)
-	return appendBytes(b, kv.EncodeWriteSet(ws))
+	return appendWriteSet(b, ws, n)
 }
 
 func decApplyReq(b []byte) (kv.WriteSet, kv.Timestamp, bool, error) {
@@ -553,6 +569,14 @@ func decSetReplicationReq(b []byte) (regionID string, epoch uint64, targets []kv
 }
 
 func appendReplEntries(b []byte, entries []kvstore.ReplEntry) []byte {
+	n := kv.UvarintSize(uint64(len(entries)))
+	for _, en := range entries {
+		n += kv.UvarintSize(en.Seq) + kv.UvarintSize(uint64(len(en.KVs)))
+		for _, x := range en.KVs {
+			n += kv.KeyValueSize(x)
+		}
+	}
+	b = slices.Grow(b, n)
 	b = appendUvarint(b, uint64(len(entries)))
 	for _, en := range entries {
 		b = appendUvarint(b, en.Seq)
@@ -772,9 +796,12 @@ func decBeginResp(b []byte) (uint64, kv.Timestamp, error) {
 }
 
 func encCommitReq(handle uint64, updates []kv.Update, wait bool) []byte {
-	b := appendUvarint(nil, handle)
+	ws := kv.WriteSet{Updates: updates}
+	n := kv.WriteSetSize(ws)
+	b := make([]byte, 0, 2*binary.MaxVarintLen64+1+n)
+	b = appendUvarint(b, handle)
 	b = appendBool(b, wait)
-	return appendBytes(b, kv.EncodeWriteSet(kv.WriteSet{Updates: updates}))
+	return appendWriteSet(b, ws, n)
 }
 
 func decCommitReq(b []byte) (handle uint64, updates []kv.Update, wait bool, err error) {
@@ -807,6 +834,47 @@ func decCommitResp(b []byte) (kv.Timestamp, ErrorCode, string, error) {
 	return cts, code, msg, d.err
 }
 
+func encBeginCommitReq(clientID string, mode uint64, updates []kv.Update, wait bool) []byte {
+	ws := kv.WriteSet{Updates: updates}
+	n := kv.WriteSetSize(ws)
+	b := make([]byte, 0, 3*binary.MaxVarintLen64+len(clientID)+1+n)
+	b = appendString(b, clientID)
+	b = appendUvarint(b, mode)
+	b = appendBool(b, wait)
+	return appendWriteSet(b, ws, n)
+}
+
+func decBeginCommitReq(b []byte) (clientID string, mode uint64, updates []kv.Update, wait bool, err error) {
+	d := newDec(b)
+	clientID = d.str()
+	mode = d.uvarint()
+	wait = d.bool()
+	wsb := d.bytes()
+	if d.err != nil {
+		return "", 0, nil, false, d.err
+	}
+	ws, err := kv.DecodeWriteSet(wsb)
+	return clientID, mode, ws.Updates, wait, err
+}
+
+// encBeginCommitResp is encCommitResp led by the start timestamp the
+// gateway's begin assigned.
+func encBeginCommitResp(startTS, cts kv.Timestamp, code ErrorCode, msg string) []byte {
+	b := appendUvarint(nil, uint64(startTS))
+	b = appendUvarint(b, uint64(cts))
+	b = appendUvarint(b, uint64(code))
+	return appendString(b, msg)
+}
+
+func decBeginCommitResp(b []byte) (startTS, cts kv.Timestamp, code ErrorCode, msg string, err error) {
+	d := newDec(b)
+	startTS = kv.Timestamp(d.uvarint())
+	cts = kv.Timestamp(d.uvarint())
+	code = ErrorCode(d.uvarint())
+	msg = d.str()
+	return startTS, cts, code, msg, d.err
+}
+
 // encHandleMsg / decHandleMsg: the shared single-uvarint body (TAbort,
 // FSync/FClose/FAbandon writer IDs, FCreate/FSize responses).
 func encHandleMsg(v uint64) []byte { return appendUvarint(nil, v) }
@@ -820,7 +888,7 @@ func decHandleMsg(b []byte) (uint64, error) {
 // --- DFS surface ---
 
 func encFAppendReq(id uint64, p []byte) []byte {
-	b := appendUvarint(nil, id)
+	b := appendUvarint(make([]byte, 0, 2*binary.MaxVarintLen64+len(p)), id)
 	return appendBytes(b, p)
 }
 
@@ -976,6 +1044,8 @@ func methodName(m byte) string {
 		return "t.commit"
 	case TAbort:
 		return "t.abort"
+	case TBeginCommit:
+		return "t.begin_commit"
 	case RGet:
 		return "r.get"
 	case RGetBatch:

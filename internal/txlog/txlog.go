@@ -395,7 +395,7 @@ func (l *Log) syncLoop() {
 }
 
 func recordSize(ws kv.WriteSet) int64 {
-	return int64(len(kv.EncodeWriteSet(ws)))
+	return int64(kv.WriteSetSize(ws))
 }
 
 // After returns every durable record with CommitTS > after, in ascending

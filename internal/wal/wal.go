@@ -82,7 +82,7 @@ func Create(fs dfs.FileSystem, path string) (*Writer, error) {
 
 // Append buffers one record. Not durable until Sync.
 func (w *Writer) Append(payload []byte) error {
-	return w.w.Append(AppendRecord(nil, payload))
+	return w.w.Append(AppendRecord(make([]byte, 0, headerSize+len(payload)), payload))
 }
 
 // Sync makes all buffered records durable on the DFS.
