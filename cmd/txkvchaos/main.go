@@ -76,7 +76,7 @@ func main() {
 		Servers:                *servers,
 		HeartbeatInterval:      200 * time.Millisecond,
 		MasterHeartbeatTimeout: 500 * time.Millisecond,
-		WALSyncInterval:        0, // persistence only via heartbeats: maximal exposure
+		WALSyncInterval:        0, // the servers' default 50ms async sync: a crash loses the unsynced tail
 		// The storage janitor races the fault schedule: WAL rolls,
 		// store-file compactions, and DFS log compactions run while
 		// servers crash around them, so the campaign (and the reopen

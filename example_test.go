@@ -55,7 +55,7 @@ func Example_failureRecovery() {
 		Servers:                2,
 		HeartbeatInterval:      50 * time.Millisecond,
 		MasterHeartbeatTimeout: 200 * time.Millisecond,
-		WALSyncInterval:        0, // fully asynchronous persistence
+		WALSyncInterval:        0, // the default: asynchronous WAL sync every 50ms
 	})
 	if err != nil {
 		panic(err)

@@ -160,10 +160,12 @@ func ReplayBound(o Options) error {
 		tps := r.res.Throughput()
 		// T_P(s) lags the commit stream by the full propagation chain:
 		// client heartbeat (T_F(c) advance) -> RM poll (global T_F) ->
-		// server heartbeat (fetch T_F, persist) -> server heartbeat
-		// (publish T_P) -> RM poll. That is <= ~5 heartbeat intervals
-		// plus fixed detection slack; the paper states the looser claim
-		// "bound by the client's throughput and heartbeat interval".
+		// server master heartbeat (learn T_F) -> WAL sync -> server
+		// master heartbeat (report T_P) -> RM poll. The server hops run
+		// on the master heartbeat cadence, not the interval, so that is
+		// <= ~5 heartbeat intervals plus fixed slack; the paper states
+		// the looser claim "bound by the client's throughput and
+		// heartbeat interval".
 		slack := 3 * time.Second
 		bound := tps * (5*hb.Seconds() + slack.Seconds())
 		within := "yes"

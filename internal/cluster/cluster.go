@@ -1,10 +1,11 @@
 // Package cluster wires every subsystem into a runnable single-process
 // cluster: the DFS, the HBase-like store (master + region servers), the
 // ZooKeeper-like coordination service, the transaction manager with its
-// recovery log, and the paper's recovery middleware (trackers, agents,
-// recovery manager). It also provides the transactional client API
-// (Begin/Get/Put/Delete/Commit with deferred updates) and fault-injection
-// entry points used by the examples, tests, and the benchmark harness.
+// recovery log, and the paper's recovery middleware (client agents and the
+// recovery manager; region servers track T_P(s) themselves). It also
+// provides the transactional client API (Begin/Get/Put/Delete/Commit with
+// deferred updates) and fault-injection entry points used by the examples,
+// tests, and the benchmark harness.
 package cluster
 
 import (
@@ -78,15 +79,20 @@ type Config struct {
 	// acknowledging every write — the Figure 2(a) baseline. The paper's
 	// system (and the default) persists asynchronously.
 	SyncPersistence bool
-	// DisableRecovery runs without the recovery middleware entirely (no
-	// agents, trackers, heartbeats, or recovery manager) — the ablation
-	// baseline for the tracking-overhead experiment.
+	// DisableRecovery runs without the recovery middleware (no client
+	// agents, client heartbeats, or recovery manager) — the ablation
+	// baseline for the tracking-overhead experiment. Region servers still
+	// heartbeat the master and track T_P(s), but with no recovery manager
+	// publishing T_F it stays at 0 and nothing is truncated.
 	DisableRecovery bool
 	// DisableTruncation keeps the TM log unbounded (truncation ablation).
 	DisableTruncation bool
 
-	// HeartbeatInterval is the client/server recovery-heartbeat cadence
-	// (the x-axis of Figure 2(b); the paper's failure experiment uses 1s).
+	// HeartbeatInterval is the clients' recovery-heartbeat cadence (the
+	// x-axis of Figure 2(b); the paper's failure experiment uses 1s). It
+	// also sets the coordination service's expiry check and the default
+	// RMPollInterval. Region servers do not use it: their T_P(s) rides
+	// the master heartbeat, every MasterHeartbeatTimeout/4.
 	HeartbeatInterval time.Duration
 	// SessionTTL is how long missed heartbeats persist before the client
 	// is declared dead. Defaults to 4x HeartbeatInterval.
@@ -100,11 +106,12 @@ type Config struct {
 	MemstoreFlushBytes int
 	BlockCacheBytes    int
 	BlockSize          int
-	// WALSyncInterval is the region server's own async WAL sync cadence
-	// (in addition to the per-heartbeat persist).
+	// WALSyncInterval is the region servers' async WAL sync cadence; each
+	// sync advances the server's T_P(s). Zero means the server default,
+	// 50ms.
 	WALSyncInterval time.Duration
 
-	// QueueAlertThreshold arms the flush/persist queue monitors.
+	// QueueAlertThreshold arms the clients' flush-queue monitors.
 	QueueAlertThreshold int
 
 	// WatchBuffer is the per-watch-stream live queue depth, in commit
@@ -207,11 +214,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// serverUnit bundles a region server with its recovery agent and its
-// replication shipping engine.
+// serverUnit bundles a region server with its replication shipping engine.
 type serverUnit struct {
 	srv     *kvstore.RegionServer
-	agent   *core.ServerAgent // nil when recovery is disabled
 	shipper *replica.Shipper
 }
 
@@ -298,9 +303,9 @@ func (p *rmProxy) RecoverRegion(r kvstore.RegionInfo, failed string, host kvstor
 }
 
 // OnServerFailure implements kvstore.ServerFailureListener.
-func (p *rmProxy) OnServerFailure(serverID string, regions []kvstore.RegionInfo) {
+func (p *rmProxy) OnServerFailure(serverID string, tp kv.Timestamp, regions []kvstore.RegionInfo) {
 	if rm := p.get(); rm != nil {
-		rm.OnServerFailure(serverID, regions)
+		rm.OnServerFailure(serverID, tp, regions)
 	}
 }
 
@@ -682,7 +687,7 @@ func (c *Cluster) newRecoveryManager() *core.Manager {
 	rm := core.NewManager(core.ManagerConfig{
 		PollInterval:      c.cfg.RMPollInterval,
 		DisableTruncation: c.cfg.DisableTruncation,
-	}, c.svc, c.log, rc, c.net)
+	}, c.svc, c.master, c.log, rc, c.net)
 	rm.SetFlushNotifier(c.tm)
 	return rm
 }
@@ -700,8 +705,8 @@ func (r commitRouter) OnCommitAssigned(clientID string, ts kv.Timestamp) {
 	}
 }
 
-// AddServer starts one more region server (with its recovery agent) and
-// registers it with the master. Returns the new server's ID.
+// AddServer starts one more region server and registers it with the
+// master. Returns the new server's ID.
 func (c *Cluster) AddServer() (string, error) {
 	c.mu.Lock()
 	if c.stopped {
@@ -730,18 +735,6 @@ func (c *Cluster) AddServer() (string, error) {
 
 	unit := &serverUnit{srv: srv, shipper: c.newShipper(id)}
 	srv.SetReplicator(unit.shipper)
-	if !c.cfg.DisableRecovery {
-		unit.agent = core.NewServerAgent(core.ServerAgentConfig{
-			ServerID:            id,
-			HeartbeatInterval:   c.cfg.HeartbeatInterval,
-			SessionTTL:          c.cfg.SessionTTL,
-			QueueAlertThreshold: c.cfg.QueueAlertThreshold,
-			OnQueueAlert:        c.onQueueAlert,
-		}, c.svc, srv)
-		if err := unit.agent.Start(); err != nil {
-			return "", err
-		}
-	}
 	if err := c.master.AddServer(srv); err != nil {
 		return "", err
 	}
@@ -804,9 +797,6 @@ func (c *Cluster) CrashServer(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownServer, id)
 	}
-	if unit.agent != nil {
-		unit.agent.Crash()
-	}
 	unit.srv.Crash()
 	if unit.shipper != nil {
 		unit.shipper.Close() // its primaries stop shipping with it
@@ -858,9 +848,6 @@ func (c *Cluster) RestartRecoveryManager() {
 	c.rm = rm
 	c.mu.Unlock()
 	rm.Start()
-	// Retire thresholds of servers whose failure recovery completed while
-	// no manager was running.
-	rm.ForgetServers(c.master.RecoveredDeadServers())
 	c.gate.set(rm)
 }
 
@@ -942,9 +929,6 @@ func (c *Cluster) Stop() {
 	c.master.Stop()
 	for _, u := range units {
 		if !u.srv.Crashed() {
-			if u.agent != nil {
-				u.agent.Crash() // skip the final beat: coord may already be stopping
-			}
 			u.srv.Stop()
 		}
 		if u.shipper != nil {

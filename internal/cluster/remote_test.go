@@ -612,6 +612,147 @@ func TestRemoteUnsyncedWALCoveredByRecoveryLog(t *testing.T) {
 	}
 }
 
+// TestRemoteMixedKillLosesNoAcknowledgedRow is the mixed deployment shape:
+// an in-process region server and a region-server process share one
+// master. The process never syncs its WAL, so its T_P(s) — reported on its
+// master heartbeat — must hold the global T_P back: otherwise the local
+// server alone advances it, the log is truncated past the process's
+// unsynced writes, and killing the process loses the acknowledged rows it
+// hosted.
+func TestRemoteMixedKillLosesNoAcknowledgedRow(t *testing.T) {
+	c, err := New(Config{
+		Servers:                1,
+		HeartbeatInterval:      100 * time.Millisecond,
+		MasterHeartbeatTimeout: time.Second, // the local server is the only survivor: no false failover
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	addr, err := c.ServeRPC("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := rpc.StartRegionNode(rpc.RegionNodeConfig{
+		ID:         "rs1",
+		MasterAddr: addr,
+		Server: kvstore.ServerConfig{
+			HeartbeatInterval: 100 * time.Millisecond,
+			WALSyncInterval:   time.Hour, // nothing syncs before the kill
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Stop)
+
+	// Eight regions, assigned round-robin: four on each server.
+	const rows = 40
+	key := func(i int) kv.Key { return kv.Key(fmt.Sprintf("row-%02d", i)) }
+	var splits []kv.Key
+	for i := 5; i < rows; i += 5 {
+		splits = append(splits, key(i))
+	}
+	if err := c.CreateTable("t", splits); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := c.NewClient("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	ctx := context.Background()
+	var last kv.Timestamp
+	for i := 0; i < rows; i++ {
+		ts, err := cl.Update(ctx, func(txn *Txn) error {
+			return txn.Put(ctx, "t", key(i), "v", []byte(fmt.Sprintf("val-%d", i)))
+		})
+		if err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		last = ts
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().GlobalTF < last {
+		if time.Now().After(deadline) {
+			t.Fatalf("global T_F stuck at %d, want %d", c.Stats().GlobalTF, last)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	// Give the persisted threshold time to (wrongly) catch up: the local
+	// server syncs every 50ms and reports every 100ms.
+	for deadline = time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		if c.Stats().GlobalTP >= last {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	node.Kill()
+
+	missing := rows
+	var readErr error
+	for deadline = time.Now().Add(15 * time.Second); missing > 0 && time.Now().Before(deadline); {
+		missing = 0
+		readErr = cl.View(ctx, func(txn *Txn) error {
+			for i := 0; i < rows; i++ {
+				v, ok, err := txn.Get(ctx, "t", key(i), "v")
+				if err != nil {
+					return err
+				}
+				if !ok || string(v) != fmt.Sprintf("val-%d", i) {
+					missing++
+				}
+			}
+			return nil
+		})
+		if readErr != nil {
+			missing = rows // regions still recovering: retry
+		}
+		if missing > 0 {
+			time.Sleep(100 * time.Millisecond)
+		}
+	}
+	if missing > 0 {
+		st := c.Stats()
+		t.Fatalf("%d of %d acknowledged rows missing after the kill (global T_P %d, %d log records truncated, last read error %v)",
+			missing, rows, st.GlobalTP, st.LogTruncated, readErr)
+	}
+}
+
+// TestRemoteOnlyLogTruncates: with only region-server processes, their
+// T_P(s) reports on the master heartbeat advance the global T_P to T_F,
+// and the recovery manager truncates the log.
+func TestRemoteOnlyLogTruncates(t *testing.T) {
+	c, addr, _ := startRemoteCluster(t, 2)
+	if err := c.CreateTable("t", []kv.Key{"row-20"}); err != nil {
+		t.Fatal(err)
+	}
+	cl := connectRemoteClient(t, addr, "truncation")
+	ctx := context.Background()
+	var last kv.Timestamp
+	for i := 0; i < 40; i++ {
+		ts, err := cl.Update(ctx, func(txn *Txn) error {
+			return txn.Put(ctx, "t", kv.Key(fmt.Sprintf("row-%02d", i)), "v", []byte("x"))
+		})
+		if err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		last = ts
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := c.Stats()
+		if st.GlobalTF >= last && st.GlobalTP >= last && st.LogTruncated > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("global T_F %d, T_P %d, %d records truncated; want T_P at T_F >= %d and a truncated log",
+				st.GlobalTF, st.GlobalTP, st.LogTruncated, last)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // regionOwner returns the server currently assigned the single region of
 // table (via the master's layout).
 func regionOwner(t *testing.T, c *Cluster, table string) string {

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"txkv/internal/coord"
-	"txkv/internal/dfs"
 	"txkv/internal/kv"
-	"txkv/internal/kvstore"
 )
 
 func newCoord(t *testing.T) *coord.Service {
@@ -104,121 +102,6 @@ func TestClientAgentQueueAlert(t *testing.T) {
 	}
 }
 
-func TestServerAgentPersistCycle(t *testing.T) {
-	svc := newCoord(t)
-	fs := dfs.New(dfs.Config{})
-	srv := kvstore.NewRegionServer(kvstore.ServerConfig{
-		ID:              "s1",
-		WALSyncInterval: 0, // only the agent persists
-	}, fs)
-	master := kvstore.NewMaster(kvstore.MasterConfig{HeartbeatTimeout: time.Hour}, fs)
-	agent := NewServerAgent(ServerAgentConfig{
-		ServerID:          "s1",
-		HeartbeatInterval: 15 * time.Millisecond,
-	}, svc, srv)
-	if err := agent.Start(); err != nil {
-		t.Fatal(err)
-	}
-	master.Start()
-	defer master.Stop()
-	if err := master.AddServer(srv); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { agent.Crash(); srv.Stop() }()
-	if err := master.CreateTable("t", nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Publish a global TF; the agent's next beat should persist and adopt
-	// it as TP.
-	svc.Put(KeyGlobalTF, encodeTS(9))
-	ws := kv.WriteSet{TxnID: 1, ClientID: "c", CommitTS: 3, Updates: []kv.Update{
-		{Table: "t", Row: "a", Column: "f", Value: []byte("v")},
-	}}
-	if err := srv.ApplyWriteSet(ws, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for agent.TP() != 9 {
-		if time.Now().After(deadline) {
-			t.Fatalf("TP = %d, want 9", agent.TP())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The WAL is durable now: the tracked write survives on the DFS.
-	if n, err := fs.Size(srv.WALPath()); err != nil || n == 0 {
-		t.Fatalf("WAL not synced: %d %v", n, err)
-	}
-	// Heartbeat payload carries TP.
-	payload, err := svc.Payload("server/s1")
-	if err != nil || decodeTS(payload) != 9 {
-		t.Fatalf("payload = %v %v", payload, err)
-	}
-	if agent.Tracker().Received() != 1 {
-		t.Fatalf("received = %d", agent.Tracker().Received())
-	}
-}
-
-func TestServerAgentReplayTriggersImmediateHeartbeat(t *testing.T) {
-	svc := newCoord(t)
-	fs := dfs.New(dfs.Config{})
-	srv := kvstore.NewRegionServer(kvstore.ServerConfig{ID: "s2", WALSyncInterval: 0}, fs)
-	master := kvstore.NewMaster(kvstore.MasterConfig{HeartbeatTimeout: time.Hour}, fs)
-	// Very long interval: only the immediate (replay-triggered) heartbeat
-	// can update the payload.
-	agent := NewServerAgent(ServerAgentConfig{
-		ServerID:          "s2",
-		HeartbeatInterval: time.Hour,
-	}, svc, srv)
-	if err := agent.Start(); err != nil {
-		t.Fatal(err)
-	}
-	master.Start()
-	defer master.Stop()
-	if err := master.AddServer(srv); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { agent.Crash(); srv.Stop() }()
-	if err := master.CreateTable("t", nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Raise TP first.
-	svc.Put(KeyGlobalTF, encodeTS(50))
-	tok := agent.Tracker().BeginPersist()
-	agent.Tracker().CompletePersist(tok, 50)
-
-	// Replayed write with piggyback 20 lowers TP and heartbeats at once.
-	ws := kv.WriteSet{TxnID: 2, ClientID: "cR", CommitTS: 30, Updates: []kv.Update{
-		{Table: "t", Row: "b", Column: "f", Value: []byte("v")},
-	}}
-	if err := srv.ApplyWriteSet(ws, 20, true); err != nil {
-		t.Fatal(err)
-	}
-	if agent.TP() != 20 {
-		t.Fatalf("TP = %d, want inherited 20", agent.TP())
-	}
-	payload, err := svc.Payload("server/s2")
-	if err != nil || decodeTS(payload) != 20 {
-		t.Fatalf("immediate heartbeat missing: %v %v", payload, err)
-	}
-}
-
-func TestServerAgentInitializesFromGlobalTP(t *testing.T) {
-	svc := newCoord(t)
-	svc.Put(KeyGlobalTP, encodeTS(33))
-	fs := dfs.New(dfs.Config{})
-	srv := kvstore.NewRegionServer(kvstore.ServerConfig{ID: "s3"}, fs)
-	agent := NewServerAgent(ServerAgentConfig{ServerID: "s3", HeartbeatInterval: time.Hour}, svc, srv)
-	if err := agent.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Crash()
-	if agent.TP() != 33 {
-		t.Fatalf("initial TP = %d, want 33 (Alg. 4 register)", agent.TP())
-	}
-}
-
 func TestAgentsCleanShutdownUnregisters(t *testing.T) {
 	svc := newCoord(t)
 	var ends atomic.Int32
@@ -229,26 +112,19 @@ func TestAgentsCleanShutdownUnregisters(t *testing.T) {
 			expiries.Add(1)
 		}
 	})
-	ca := NewClientAgent(ClientAgentConfig{ClientID: "cx", HeartbeatInterval: 20 * time.Millisecond}, svc)
-	if err := ca.Start(); err != nil {
-		t.Fatal(err)
+	// Region servers hold no session (their T_P(s) rides the master
+	// heartbeat), so two client agents stand in for the pair.
+	var agents []*ClientAgent
+	for _, id := range []string{"cx", "cy"} {
+		a := NewClientAgent(ClientAgentConfig{ClientID: id, HeartbeatInterval: 20 * time.Millisecond}, svc)
+		if err := a.Start(); err != nil {
+			t.Fatal(err)
+		}
+		agents = append(agents, a)
 	}
-	fs := dfs.New(dfs.Config{})
-	srv := kvstore.NewRegionServer(kvstore.ServerConfig{ID: "sx"}, fs)
-	m := kvstore.NewMaster(kvstore.MasterConfig{HeartbeatTimeout: time.Hour}, fs)
-	m.Start()
-	defer m.Stop()
-	if err := m.AddServer(srv); err != nil {
-		t.Fatal(err)
+	for _, a := range agents {
+		a.Stop()
 	}
-	sa := NewServerAgent(ServerAgentConfig{ServerID: "sx", HeartbeatInterval: 20 * time.Millisecond}, svc, srv)
-	if err := sa.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	ca.Stop()
-	sa.Stop()
-	srv.Stop()
 
 	deadline := time.Now().Add(2 * time.Second)
 	for ends.Load() < 2 && time.Now().Before(deadline) {

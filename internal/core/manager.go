@@ -21,9 +21,10 @@ const recoveryClientNode = "recovery-client"
 
 // ManagerConfig configures the recovery manager.
 type ManagerConfig struct {
-	// PollInterval is how often the manager reads heartbeat payloads from
-	// the coordination service, recomputes the global thresholds, publishes
-	// them, checkpoints its state, and truncates the log.
+	// PollInterval is how often the manager reads the client thresholds
+	// from the coordination service and the server thresholds from the
+	// master, recomputes the global thresholds, publishes them, checkpoints
+	// its state, and truncates the log.
 	PollInterval time.Duration
 	// DisableTruncation keeps the full log (for the truncation ablation).
 	DisableTruncation bool
@@ -77,15 +78,17 @@ type failedServer struct {
 
 // Manager is the recovery manager: a middleware service associated with the
 // transaction manager (paper §3). It tracks per-client flushed thresholds
-// and per-server persisted thresholds from heartbeats, maintains the global
-// T_F and T_P, recovers from client failures (Alg. 2) and server failures
-// (Alg. 4) by replaying write-sets from the transaction manager's log, and
-// truncates that log below T_P.
+// from the clients' coordination sessions and per-server persisted
+// thresholds from the master, which collects them from the region servers'
+// heartbeats. It maintains the global T_F and T_P, recovers from client
+// failures (Alg. 2) and server failures (Alg. 4) by replaying write-sets
+// from the transaction manager's log, and truncates that log below T_P.
 type Manager struct {
-	cfg ManagerConfig
-	svc *coord.Service
-	log *txlog.Log
-	net *netsim.Network
+	cfg    ManagerConfig
+	svc    *coord.Service
+	master *kvstore.Master
+	log    *txlog.Log
+	net    *netsim.Network
 	// rc is the recovery client C_R used for client-failure replays; it
 	// routes through the master like a regular client but reuses original
 	// commit timestamps.
@@ -94,7 +97,7 @@ type Manager struct {
 	mu       sync.Mutex
 	notifier FlushNotifier
 	clientTF map[string]kv.Timestamp
-	serverTP map[string]kv.Timestamp
+	serverTP map[string]kv.Timestamp // the master's server thresholds at the last poll
 	failed   map[string]*failedServer
 	tf, tp   kv.Timestamp
 	events   []RecoveryEvent
@@ -116,11 +119,12 @@ var (
 
 // NewManager creates a recovery manager. rc must be a dedicated routing
 // client (the recovery client C_R); net gates its direct region replays.
-func NewManager(cfg ManagerConfig, svc *coord.Service, log *txlog.Log, rc *kvstore.Client, net *netsim.Network) *Manager {
+func NewManager(cfg ManagerConfig, svc *coord.Service, master *kvstore.Master, log *txlog.Log, rc *kvstore.Client, net *netsim.Network) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Manager{
 		cfg:      cfg.withDefaults(),
 		svc:      svc,
+		master:   master,
 		log:      log,
 		net:      net,
 		rc:       rc,
@@ -148,7 +152,7 @@ func (m *Manager) SetFlushNotifier(n FlushNotifier) {
 func (m *Manager) Start() {
 	m.restore()
 	m.svc.Watch(m.onSessionEvent)
-	m.poll() // publish thresholds immediately so agents can initialize
+	m.poll() // publish thresholds at once: registrations start from them
 	m.reconcileDeadClients()
 	m.wg.Add(1)
 	go m.pollLoop()
@@ -175,18 +179,6 @@ func (m *Manager) reconcileDeadClients() {
 	m.mu.Unlock()
 	for _, d := range dead {
 		m.recoverClient(d.id, d.tf)
-	}
-}
-
-// ForgetServers retires threshold entries of servers whose failure recovery
-// completed while no manager was running (reconciliation input from the
-// master's RecoveredDeadServers).
-func (m *Manager) ForgetServers(ids []string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, id := range ids {
-		delete(m.serverTP, id)
-		delete(m.failed, id)
 	}
 }
 
@@ -219,11 +211,10 @@ func (m *Manager) isStopped() bool {
 }
 
 // checkpointState is the JSON-serialized manager state stored in the
-// coordination service for fail-over.
+// coordination service for fail-over. Server thresholds are not in it: the
+// master keeps them, a failed server's frozen until its regions are back.
 type checkpointState struct {
 	ClientTF map[string]kv.Timestamp `json:"client_tf"`
-	ServerTP map[string]kv.Timestamp `json:"server_tp"`
-	FailedTP map[string]kv.Timestamp `json:"failed_tp"`
 	TF       kv.Timestamp            `json:"tf"`
 	TP       kv.Timestamp            `json:"tp"`
 }
@@ -242,15 +233,6 @@ func (m *Manager) restore() {
 	for id, tf := range st.ClientTF {
 		m.clientTF[id] = tf
 	}
-	for id, tp := range st.ServerTP {
-		m.serverTP[id] = tp
-	}
-	for id, tp := range st.FailedTP {
-		// Recoveries interrupted by our own failure: the master's region
-		// reopen retries will call RecoverRegion again; remaining counts
-		// are re-derived from those calls.
-		m.failed[id] = &failedServer{tp: tp, remaining: -1}
-	}
 	m.tf, m.tp = st.TF, st.TP
 }
 
@@ -258,19 +240,11 @@ func (m *Manager) checkpoint() {
 	m.mu.Lock()
 	st := checkpointState{
 		ClientTF: make(map[string]kv.Timestamp, len(m.clientTF)),
-		ServerTP: make(map[string]kv.Timestamp, len(m.serverTP)),
-		FailedTP: make(map[string]kv.Timestamp, len(m.failed)),
 		TF:       m.tf,
 		TP:       m.tp,
 	}
 	for id, tf := range m.clientTF {
 		st.ClientTF[id] = tf
-	}
-	for id, tp := range m.serverTP {
-		st.ServerTP[id] = tp
-	}
-	for id, f := range m.failed {
-		st.FailedTP[id] = f.tp
 	}
 	m.mu.Unlock()
 	b, err := json.Marshal(st)
@@ -294,30 +268,27 @@ func (m *Manager) pollLoop() {
 	}
 }
 
-// poll reads every live session's piggybacked threshold, recomputes and
-// publishes the global thresholds, checkpoints, and truncates the log.
+// poll reads every live client session's piggybacked threshold and the
+// master's server thresholds, recomputes and publishes the global
+// thresholds, checkpoints, and truncates the log.
 func (m *Manager) poll() {
 	clients := m.svc.Sessions(clientSessionPrefix)
-	servers := m.svc.Sessions(serverSessionPrefix)
+	servers := m.master.ServerThresholds()
 
 	m.mu.Lock()
 	for id, payload := range clients {
 		name := strings.TrimPrefix(id, clientSessionPrefix)
 		m.clientTF[name] = decodeTS(payload)
 	}
-	for id, payload := range servers {
-		name := strings.TrimPrefix(id, serverSessionPrefix)
-		if _, failing := m.failed[name]; failing {
-			continue // a failed server's threshold is frozen
-		}
-		m.serverTP[name] = decodeTS(payload)
-	}
+	// The master holds a failed server's threshold frozen until its
+	// regions are all back, so the snapshot replaces the previous one.
+	m.serverTP = servers
 	m.recomputeLocked()
 	tf, tp := m.tf, m.tp
 	m.mu.Unlock()
 
+	m.master.PublishThresholds(tf, tp)
 	m.svc.Put(KeyGlobalTF, encodeTS(tf))
-	m.svc.Put(KeyGlobalTP, encodeTS(tp))
 	m.checkpoint()
 	if !m.cfg.DisableTruncation {
 		m.log.Truncate(tp)
@@ -327,7 +298,8 @@ func (m *Manager) poll() {
 // recomputeLocked recomputes T_F = min_c T_F(c) and T_P = min_s T_P(s),
 // where failed-but-unrecovered servers participate with their frozen
 // thresholds (their write-sets may still need replay, so the log must not
-// be truncated past them). Thresholds never regress.
+// be truncated past them; the master's snapshot keeps them until their
+// regions are back). Thresholds never regress.
 func (m *Manager) recomputeLocked() {
 	if len(m.clientTF) > 0 {
 		tf := kv.MaxTimestamp
@@ -340,16 +312,9 @@ func (m *Manager) recomputeLocked() {
 			m.tf = tf
 		}
 	}
-	candidates := make([]kv.Timestamp, 0, len(m.serverTP)+len(m.failed))
-	for _, v := range m.serverTP {
-		candidates = append(candidates, v)
-	}
-	for _, f := range m.failed {
-		candidates = append(candidates, f.tp)
-	}
-	if len(candidates) > 0 {
+	if len(m.serverTP) > 0 {
 		tp := kv.MaxTimestamp
-		for _, v := range candidates {
+		for _, v := range m.serverTP {
 			if v < tp {
 				tp = v
 			}
@@ -394,55 +359,45 @@ func (m *Manager) StatsSnapshot() Stats {
 	return s
 }
 
-// NoteQueueAlert records a queue-size alert from a client or server
-// monitor (paper §3.2: an operator signal that a region may be stuck).
+// NoteQueueAlert records a flush-queue alert from a client monitor (paper
+// §3.2: an operator signal that a region may be stuck).
 func (m *Manager) NoteQueueAlert(string, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.QueueAlerts++
 }
 
-// onSessionEvent dispatches coordination-session terminations.
+// onSessionEvent dispatches client-session terminations.
 func (m *Manager) onSessionEvent(ev coord.SessionEvent) {
 	if m.isStopped() {
 		return // a crashed manager must not act; its successor reconciles
 	}
-	switch {
-	case strings.HasPrefix(ev.ID, clientSessionPrefix):
-		name := strings.TrimPrefix(ev.ID, clientSessionPrefix)
-		if ev.Expired {
-			// Run the replay off the coordination service's dispatch
-			// goroutine so other events keep flowing; Stop waits for it.
-			m.mu.Lock()
-			if m.stopped {
-				m.mu.Unlock()
-				return
-			}
-			m.wg.Add(1)
-			m.mu.Unlock()
-			tf := decodeTS(ev.Payload)
-			go func() {
-				defer m.wg.Done()
-				m.recoverClient(name, tf)
-			}()
-		} else {
-			// Clean unregister: drop the client from the T_F computation
-			// (Alg. 2 "On unregister").
-			m.mu.Lock()
-			delete(m.clientTF, name)
-			m.mu.Unlock()
-		}
-	case strings.HasPrefix(ev.ID, serverSessionPrefix):
-		name := strings.TrimPrefix(ev.ID, serverSessionPrefix)
-		if !ev.Expired {
-			m.mu.Lock()
-			delete(m.serverTP, name)
-			m.mu.Unlock()
-		}
-		// Expired server sessions are handled by the master failure hook
-		// (OnServerFailure); the frozen threshold stays in serverTP (or
-		// moves to failed) so T_P cannot run past the dead server.
+	name, ok := strings.CutPrefix(ev.ID, clientSessionPrefix)
+	if !ok {
+		return
 	}
+	if !ev.Expired {
+		// Clean unregister: drop the client from the T_F computation
+		// (Alg. 2 "On unregister").
+		m.mu.Lock()
+		delete(m.clientTF, name)
+		m.mu.Unlock()
+		return
+	}
+	// Run the replay off the coordination service's dispatch goroutine so
+	// other events keep flowing; Stop waits for it.
+	m.mu.Lock()
+	if m.stopped {
+		m.mu.Unlock()
+		return
+	}
+	m.wg.Add(1)
+	m.mu.Unlock()
+	tf := decodeTS(ev.Payload)
+	go func() {
+		defer m.wg.Done()
+		m.recoverClient(name, tf)
+	}()
 }
 
 // recoverClient implements Algorithm 2 "On failure(c)": replay from the log
@@ -505,17 +460,13 @@ func (m *Manager) recoverClient(clientID string, lastTF kv.Timestamp) {
 	m.mu.Unlock()
 }
 
-// OnServerFailure implements the master's failure hook: snapshot the failed
+// OnServerFailure implements the master's failure hook: record the failed
 // server's frozen T_P(s) and prime the per-region recovery bookkeeping.
-func (m *Manager) OnServerFailure(serverID string, regions []kvstore.RegionInfo) {
+func (m *Manager) OnServerFailure(serverID string, tp kv.Timestamp, regions []kvstore.RegionInfo) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, ok := m.failed[serverID]
 	if !ok {
-		tp, have := m.serverTP[serverID]
-		if !have {
-			tp = m.tp // never heartbeated: the global T_P is its floor
-		}
 		f = &failedServer{tp: tp}
 		m.failed[serverID] = f
 	}
@@ -536,21 +487,18 @@ func (m *Manager) RecoverRegion(r kvstore.RegionInfo, failedID string, host kvst
 	m.mu.Lock()
 	f, ok := m.failed[failedID]
 	if !ok {
-		// Either a recovery retried after our own restart (remaining
-		// unknown) or a failure hook we never saw; fall back to the
-		// frozen/global threshold.
-		tp, have := m.serverTP[failedID]
-		if !have {
-			tp = m.tp
-		}
-		f = &failedServer{tp: tp, remaining: -1}
+		// A failure hook we never saw (it fired while no manager ran): the
+		// master reported the frozen threshold at the last poll, and the
+		// remaining count is unknown.
+		f = &failedServer{tp: m.serverTP[failedID], remaining: -1}
 		m.failed[failedID] = f
 	}
 	tpS := f.tp
 	m.mu.Unlock()
 	// As in recoverClient: everything at or below the truncation watermark
 	// is durably persisted, so a stale T_P(s) (a server that died before
-	// reporting any threshold on a reopened cluster) clamps up to it.
+	// reporting any threshold on a reopened cluster, or one unknown to this
+	// manager) clamps up to it.
 	if tb := m.log.TruncatedBelow(); tpS < tb {
 		tpS = tb
 	}

@@ -16,7 +16,7 @@ func TestTruncationDisabled(t *testing.T) {
 	h.rm.Stop()
 	rc := kvstore.NewClient(kvstore.ClientConfig{ID: "rc2"}, h.net, h.master)
 	h.rm = NewManager(ManagerConfig{PollInterval: 15 * time.Millisecond, DisableTruncation: true},
-		h.svc, h.log, rc, h.net)
+		h.svc, h.master, h.log, rc, h.net)
 	h.rm.Start()
 
 	if err := h.master.CreateTable("t", nil); err != nil {
@@ -80,7 +80,7 @@ func TestManagerRestoreGarbageCheckpoint(t *testing.T) {
 	h := newHarness(t, harnessOpts{servers: 1})
 	h.svc.Put(KeyManagerState, []byte("{not json"))
 	rc := kvstore.NewClient(kvstore.ClientConfig{ID: "rc3"}, h.net, h.master)
-	rm := NewManager(ManagerConfig{PollInterval: 20 * time.Millisecond}, h.svc, h.log, rc, h.net)
+	rm := NewManager(ManagerConfig{PollInterval: 20 * time.Millisecond}, h.svc, h.master, h.log, rc, h.net)
 	rm.Start() // must not panic or adopt garbage
 	defer rm.Stop()
 	if rm.TF() != 0 && rm.TF() != h.rm.TF() {
@@ -92,7 +92,7 @@ func TestManagerRestoreGarbageCheckpoint(t *testing.T) {
 // master retries a gate call for a failure the new RM never saw: it must
 // fall back to a conservative threshold and still replay.
 func TestRecoverRegionWithoutFailureHook(t *testing.T) {
-	h := newHarness(t, harnessOpts{servers: 2, serverHB: time.Hour, walSyncInterval: 0})
+	h := newHarness(t, harnessOpts{servers: 2, walSyncInterval: time.Hour})
 	if err := h.master.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestRecoverRegionWithoutFailureHook(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// The write-set was replayed to 'other' (TP of ghost defaulted to
-	// global TP=0, so everything after 0 replays).
+	// The write-set was replayed to 'other' (the master knows no T_P for
+	// the ghost, so everything above the truncation watermark replays).
 	got, found, err := other.Get("t", "row", "f", kv.MaxTimestamp)
 	if err != nil || !found {
 		t.Fatalf("replay missing: %v %v", found, err)

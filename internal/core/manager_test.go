@@ -15,8 +15,9 @@ import (
 )
 
 // harness assembles the store + coordination + recovery manager, without
-// the transaction manager: tests drive the log and trackers directly, which
-// isolates the recovery protocol.
+// the transaction manager: tests drive the log and client trackers
+// directly, which isolates the recovery protocol. Region servers track
+// their own T_P(s) and report it on the master heartbeat.
 type harness struct {
 	fs     *dfs.FS
 	net    *netsim.Network
@@ -25,23 +26,25 @@ type harness struct {
 	log    *txlog.Log
 	rm     *Manager
 	srvs   []*kvstore.RegionServer
-	agents []*ServerAgent
 }
 
 type harnessOpts struct {
 	servers         int
-	serverHB        time.Duration // server agent heartbeat (WAL persist cadence)
 	rmPoll          time.Duration
-	walSyncInterval time.Duration // region server's own async syncer; 0 lets agent drive
+	walSyncInterval time.Duration // WAL persist cadence, which advances T_P(s); 0 = 25ms
+	masterTimeout   time.Duration // master failure detection; 0 = 150ms
 }
 
 func newHarness(t *testing.T, o harnessOpts) *harness {
 	t.Helper()
-	if o.serverHB == 0 {
-		o.serverHB = 25 * time.Millisecond
+	if o.walSyncInterval == 0 {
+		o.walSyncInterval = 25 * time.Millisecond
 	}
 	if o.rmPoll == 0 {
 		o.rmPoll = 20 * time.Millisecond
+	}
+	if o.masterTimeout == 0 {
+		o.masterTimeout = 150 * time.Millisecond
 	}
 	h := &harness{
 		fs:  dfs.New(dfs.Config{Replication: 2, DataNodes: o.servers + 1}),
@@ -50,12 +53,12 @@ func newHarness(t *testing.T, o harnessOpts) *harness {
 		log: txlog.New(txlog.Config{}),
 	}
 	h.master = kvstore.NewMaster(kvstore.MasterConfig{
-		HeartbeatTimeout: 150 * time.Millisecond,
+		HeartbeatTimeout: o.masterTimeout,
 		CheckInterval:    15 * time.Millisecond,
 	}, h.fs)
 
 	rc := kvstore.NewClient(kvstore.ClientConfig{ID: "recovery-client"}, h.net, h.master)
-	h.rm = NewManager(ManagerConfig{PollInterval: o.rmPoll}, h.svc, h.log, rc, h.net)
+	h.rm = NewManager(ManagerConfig{PollInterval: o.rmPoll}, h.svc, h.master, h.log, rc, h.net)
 	h.master.SetRecoveryGate(h.rm)
 	h.master.AddFailureListener(h.rm)
 	h.rm.Start()
@@ -67,25 +70,15 @@ func newHarness(t *testing.T, o harnessOpts) *harness {
 			WALSyncInterval:   o.walSyncInterval,
 			HeartbeatInterval: 20 * time.Millisecond,
 		}, h.fs)
-		agent := NewServerAgent(ServerAgentConfig{
-			ServerID:          srv.ID(),
-			HeartbeatInterval: o.serverHB,
-			SessionTTL:        time.Hour, // failure detection is master-driven
-		}, h.svc, srv)
-		if err := agent.Start(); err != nil {
-			t.Fatal(err)
-		}
 		if err := h.master.AddServer(srv); err != nil {
 			t.Fatal(err)
 		}
 		h.srvs = append(h.srvs, srv)
-		h.agents = append(h.agents, agent)
 	}
 	t.Cleanup(func() {
 		h.master.Stop()
-		for i, s := range h.srvs {
+		for _, s := range h.srvs {
 			if !s.Crashed() {
-				h.agents[i].Crash()
 				s.Stop()
 			}
 		}
@@ -247,8 +240,7 @@ func TestClientCleanShutdownNoRecovery(t *testing.T) {
 func TestServerFailureRecovery(t *testing.T) {
 	h := newHarness(t, harnessOpts{
 		servers:         2,
-		serverHB:        time.Hour, // never persist: everything is at risk
-		walSyncInterval: 0,
+		walSyncInterval: time.Hour, // never persist: everything is at risk
 	})
 	if err := h.master.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
@@ -262,7 +254,7 @@ func TestServerFailureRecovery(t *testing.T) {
 		h.flush(t, c, ws)
 	}
 
-	// Everything is flushed but nothing persisted (agents never beat).
+	// Everything is flushed but nothing persisted (no WAL sync ran).
 	_, hostH, err := h.master.Locate("t", "row01")
 	if err != nil {
 		t.Fatal(err)
@@ -290,14 +282,14 @@ func TestServerFailureRecovery(t *testing.T) {
 // TestServerFailurePartialPersist: T_P(s) reflects persisted prefixes, so
 // only write-sets after T_P(s) are replayed.
 func TestServerFailurePartialPersist(t *testing.T) {
-	h := newHarness(t, harnessOpts{servers: 2, serverHB: 25 * time.Millisecond, walSyncInterval: 0})
+	h := newHarness(t, harnessOpts{servers: 2, walSyncInterval: 25 * time.Millisecond})
 	if err := h.master.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
 	}
 	c := h.newClient(t, "c1", 15*time.Millisecond)
 
-	// Phase 1: five write-sets, fully flushed, heartbeats running — they
-	// get persisted and T_P advances.
+	// Phase 1: five write-sets, fully flushed, syncs running — they get
+	// persisted and T_P advances.
 	for i := 1; i <= 5; i++ {
 		ws := mkWS("c1", kv.Timestamp(i), "t", fmt.Sprintf("old%02d", i))
 		h.commit(t, c, ws)
@@ -307,8 +299,8 @@ func TestServerFailurePartialPersist(t *testing.T) {
 		return h.rm.TP() >= 5
 	})
 
-	// Phase 2: freeze persistence (crash the agent's effect by crashing
-	// the server right after more flushes arrive).
+	// Phase 2: freeze persistence by crashing the server right after more
+	// flushes arrive.
 	for i := 6; i <= 8; i++ {
 		ws := mkWS("c1", kv.Timestamp(i), "t", fmt.Sprintf("new%02d", i))
 		h.commit(t, c, ws)
@@ -319,13 +311,6 @@ func TestServerFailurePartialPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	host := hostH.(*kvstore.RegionServer)
-	// Stop the host's agent first so no further persist can happen, then
-	// crash.
-	for i, s := range h.srvs {
-		if s.ID() == host.ID() {
-			h.agents[i].Crash()
-		}
-	}
 	host.Crash()
 	h.net.SetDown(host.ID(), true)
 
@@ -357,7 +342,7 @@ func TestServerFailurePartialPersist(t *testing.T) {
 // TestThresholdsAdvanceAndLogTruncates drives steady traffic and verifies
 // the full T_F -> T_P -> truncation pipeline of §3.2.
 func TestThresholdsAdvanceAndLogTruncates(t *testing.T) {
-	h := newHarness(t, harnessOpts{servers: 2, serverHB: 20 * time.Millisecond, walSyncInterval: 0})
+	h := newHarness(t, harnessOpts{servers: 2, walSyncInterval: 20 * time.Millisecond})
 	if err := h.master.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -422,8 +407,7 @@ func TestGlobalTFIsMinimumAcrossClients(t *testing.T) {
 func TestCascadingFailureInheritance(t *testing.T) {
 	h := newHarness(t, harnessOpts{
 		servers:         3,
-		serverHB:        time.Hour, // manual persist control
-		walSyncInterval: 0,
+		walSyncInterval: time.Hour, // never persist
 	})
 	// Single-region table: lands on exactly one server.
 	if err := h.master.CreateTable("t", nil); err != nil {
@@ -458,13 +442,9 @@ func TestCascadingFailureInheritance(t *testing.T) {
 	if hostB.ID() == hostA.ID() {
 		t.Fatal("region did not move")
 	}
-	// B's tracker must have inherited A's (zero) threshold.
-	for i, s := range h.srvs {
-		if s.ID() == hostB.ID() {
-			if tp := h.agents[i].TP(); tp > 0 {
-				t.Fatalf("B's TP = %d, inheritance failed", tp)
-			}
-		}
+	// B must have inherited A's (zero) threshold and reported it.
+	if tp := h.master.ServerThresholds()[hostB.ID()]; tp > 0 {
+		t.Fatalf("B's TP = %d, inheritance failed", tp)
 	}
 	hostB.Crash()
 	h.net.SetDown(hostB.ID(), true)
@@ -480,11 +460,126 @@ func TestCascadingFailureInheritance(t *testing.T) {
 	}
 }
 
+// TestServerKilledBeforeFirstReportHoldsRegistrationTP: a server's T_P(s)
+// starts at the global T_P when it registers (Alg. 4 "On register"). A
+// server that never reports holds the global T_P there while it owns
+// unpersisted data, and when it dies its regions replay from that value.
+func TestServerKilledBeforeFirstReportHoldsRegistrationTP(t *testing.T) {
+	h := newHarness(t, harnessOpts{servers: 1, masterTimeout: time.Hour})
+	for _, table := range []string{"t", "u"} {
+		if err := h.master.CreateTable(table, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := h.newClient(t, "c1", 15*time.Millisecond)
+	for i := 1; i <= 5; i++ {
+		ws := mkWS("c1", kv.Timestamp(i), "t", fmt.Sprintf("a%02d", i))
+		h.commit(t, c, ws)
+		h.flush(t, c, ws)
+	}
+	waitFor(t, 3*time.Second, "TP to reach 5", func() bool { return h.rm.TP() == 5 })
+
+	// A server that never heartbeats joins and takes table u's region.
+	silent := kvstore.NewRegionServer(kvstore.ServerConfig{
+		ID:                "silent",
+		HeartbeatInterval: time.Hour,
+		WALSyncInterval:   time.Hour,
+	}, h.fs)
+	if err := h.master.AddServer(silent); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.master.ServerThresholds()["silent"]; got != 5 {
+		t.Fatalf("registration T_P(silent) = %d, want the global T_P 5", got)
+	}
+	regions, err := h.master.TableRegions("u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.master.MoveRegion(regions[0].ID, "silent"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 6; i <= 8; i++ {
+		ws := mkWS("c1", kv.Timestamp(i), "u", fmt.Sprintf("b%02d", i))
+		h.commit(t, c, ws)
+		h.flush(t, c, ws)
+	}
+	// server-0 persists past 8, but the silent server's registration value
+	// holds the global T_P.
+	waitFor(t, 3*time.Second, "server-0 to report 8", func() bool {
+		return h.master.ServerThresholds()["server-0"] >= 8
+	})
+	time.Sleep(5 * 20 * time.Millisecond) // several RM polls
+	if tp := h.rm.TP(); tp != 5 {
+		t.Fatalf("global TP = %d, want it held at the silent server's registration value 5", tp)
+	}
+
+	silent.Crash()
+	h.net.SetDown("silent", true)
+	h.master.FailServer("silent")
+	reader := kvstore.NewClient(kvstore.ClientConfig{ID: "reader"}, h.net, h.master)
+	for i := 6; i <= 8; i++ {
+		row := fmt.Sprintf("b%02d", i)
+		h.mustRead(t, reader, "u", row, fmt.Sprintf("v%d-%s", i, row))
+	}
+	evs := h.rm.Events()
+	if len(evs) != 1 || evs[0].FailedServer != "silent" || evs[0].WriteSetsReplayed != 3 {
+		t.Fatalf("events = %+v, want one region replay of the 3 write-sets above 5", evs)
+	}
+	waitFor(t, 3*time.Second, "TP to advance once the silent server is recovered", func() bool {
+		return h.rm.TP() == 8
+	})
+}
+
+// TestCascadingFailureAfterWALSplit: a region recovered from its dead
+// server's WAL split holds the split edits in its new host's memstore. Once
+// the log is truncated past them, the new host is the only holder; its own
+// failure must not lose them.
+func TestCascadingFailureAfterWALSplit(t *testing.T) {
+	h := newHarness(t, harnessOpts{servers: 3, walSyncInterval: 10 * time.Millisecond})
+	if err := h.master.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	c := h.newClient(t, "c1", 15*time.Millisecond)
+	const n = 5
+	for i := 1; i <= n; i++ {
+		ws := mkWS("c1", kv.Timestamp(i), "t", fmt.Sprintf("row%02d", i))
+		h.commit(t, c, ws)
+		h.flush(t, c, ws)
+	}
+	// Every row is persisted in its host's WAL and gone from the log.
+	waitFor(t, 3*time.Second, "log truncation", func() bool {
+		return h.log.Stats().TruncatedRecords == n
+	})
+	crash := func(round int) {
+		t.Helper()
+		_, hostH, err := h.master.Locate("t", "row01")
+		if err != nil {
+			t.Fatal(err)
+		}
+		host := hostH.(*kvstore.RegionServer)
+		host.Crash()
+		h.net.SetDown(host.ID(), true)
+		waitFor(t, 5*time.Second, fmt.Sprintf("recovery %d", round), func() bool {
+			return h.rm.StatsSnapshot().RegionsRecovered >= round
+		})
+	}
+	crash(1)
+	// The new host syncs its WAL and reports: T_P(s) moves on, the pin of
+	// the first failure is gone.
+	time.Sleep(100 * time.Millisecond)
+	crash(2)
+	reader := kvstore.NewClient(kvstore.ClientConfig{ID: "reader"}, h.net, h.master)
+	for i := 1; i <= n; i++ {
+		row := fmt.Sprintf("row%02d", i)
+		h.mustRead(t, reader, "t", row, fmt.Sprintf("v%d-%s", i, row))
+	}
+}
+
 // TestRecoveryManagerFailover: the RM dies and a new one takes over from
 // the checkpoint in the coordination service; a subsequent server failure
 // is still recovered correctly (paper §3.3).
 func TestRecoveryManagerFailover(t *testing.T) {
-	h := newHarness(t, harnessOpts{servers: 2, serverHB: 25 * time.Millisecond, walSyncInterval: 0})
+	h := newHarness(t, harnessOpts{servers: 2, walSyncInterval: 25 * time.Millisecond})
 	if err := h.master.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +601,7 @@ func TestRecoveryManagerFailover(t *testing.T) {
 
 	// New RM restores from the coordination service.
 	rc2 := kvstore.NewClient(kvstore.ClientConfig{ID: "recovery-client-2"}, h.net, h.master)
-	rm2 := NewManager(ManagerConfig{PollInterval: 20 * time.Millisecond}, h.svc, h.log, rc2, h.net)
+	rm2 := NewManager(ManagerConfig{PollInterval: 20 * time.Millisecond}, h.svc, h.master, h.log, rc2, h.net)
 	h.master.SetRecoveryGate(rm2)
 	h.master.AddFailureListener(rm2)
 	rm2.Start()
@@ -521,11 +616,6 @@ func TestRecoveryManagerFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	host := hostH.(*kvstore.RegionServer)
-	for i, s := range h.srvs {
-		if s.ID() == host.ID() {
-			h.agents[i].Crash()
-		}
-	}
 	host.Crash()
 	h.net.SetDown(host.ID(), true)
 	waitFor(t, 5*time.Second, "post-failover recovery", func() bool {

@@ -6,19 +6,16 @@ import (
 	"txkv/internal/kv"
 )
 
-// Session-ID prefixes on the coordination service.
-const (
-	clientSessionPrefix = "client/"
-	serverSessionPrefix = "server/"
-)
+// clientSessionPrefix prefixes client heartbeat sessions on the
+// coordination service. Region servers have no session: their T_P(s) rides
+// the master heartbeat.
+const clientSessionPrefix = "client/"
 
 // Persistent keys on the coordination service.
 const (
 	// KeyGlobalTF holds the recovery manager's published global flushed
-	// threshold T_F; servers read it on every heartbeat (Alg. 3 line 9).
+	// threshold T_F; a registering client starts from it (Alg. 2).
 	KeyGlobalTF = "global/tf"
-	// KeyGlobalTP holds the published global persisted threshold T_P.
-	KeyGlobalTP = "global/tp"
 	// KeyManagerState holds the recovery manager's checkpoint for
 	// fail-over (paper §3.3).
 	KeyManagerState = "rm/state"

@@ -171,75 +171,25 @@ func TestClientTrackerConcurrent(t *testing.T) {
 	}
 }
 
-func TestServerTrackerBasicAdvance(t *testing.T) {
-	tr := NewServerTracker(0)
-	tr.OnReceived()
-	tr.OnReceived()
-	if tr.PendingPersists() != 2 {
-		t.Fatalf("pending = %d", tr.PendingPersists())
+// TestClientTrackerDuplicateSafety: the tracker tolerates a flush notified
+// twice (a retried flush can complete twice under races); T_F must still be
+// exact.
+func TestClientTrackerDuplicateFlushBlocks(t *testing.T) {
+	tr := NewClientTracker(0)
+	tr.OnCommitted(1)
+	tr.OnCommitted(2)
+	tr.OnFlushed(1)
+	tr.OnFlushed(1) // duplicate
+	if tf := tr.Advance(); tf != 1 {
+		t.Fatalf("TF = %d, want 1", tf)
 	}
-	tok := tr.BeginPersist()
-	if tr.PendingPersists() != 0 {
-		t.Fatalf("pending after begin = %d", tr.PendingPersists())
+	// The stray duplicate must not let TF skip txn 2.
+	if tf := tr.Advance(); tf != 1 {
+		t.Fatalf("TF advanced to %d past unflushed txn 2", tf)
 	}
-	tp := tr.CompletePersist(tok, 17)
-	if tp != 17 || tr.TP() != 17 {
-		t.Fatalf("TP = %d, want 17", tp)
-	}
-	if tr.Received() != 2 {
-		t.Fatalf("received = %d", tr.Received())
-	}
-}
-
-func TestServerTrackerAbortPersist(t *testing.T) {
-	tr := NewServerTracker(5)
-	tr.OnReceived()
-	tr.OnReplayReceived(3)
-	tok := tr.BeginPersist()
-	tr.AbortPersist(tok)
-	if tr.PendingPersists() != 2 {
-		t.Fatalf("pending after abort = %d", tr.PendingPersists())
-	}
-	// The inherited pin must survive the aborted sync.
-	tok2 := tr.BeginPersist()
-	if tp := tr.CompletePersist(tok2, 100); tp != 100 {
-		t.Fatalf("TP after successful persist = %d", tp)
-	}
-}
-
-// TestServerTrackerInheritance verifies Alg. 3 lines 18-22: a replayed
-// update immediately lowers T_P(s'), and the pin holds until the replayed
-// data is persisted.
-func TestServerTrackerInheritance(t *testing.T) {
-	tr := NewServerTracker(0)
-	tok := tr.BeginPersist()
-	tr.CompletePersist(tok, 50)
-	if tr.TP() != 50 {
-		t.Fatal("setup failed")
-	}
-	// Replay arrives with the failed server's T_P = 20.
-	tr.OnReplayReceived(20)
-	if tr.TP() != 20 {
-		t.Fatalf("TP = %d, want immediate drop to 20", tr.TP())
-	}
-	// A replay arriving DURING the sync keeps the cap.
-	tok = tr.BeginPersist()
-	tr.OnReplayReceived(30)
-	if tp := tr.CompletePersist(tok, 60); tp != 30 {
-		t.Fatalf("TP = %d, want 30 (unpersisted replay cap)", tp)
-	}
-	// After the next sync covers it, TF takes over again.
-	tok = tr.BeginPersist()
-	if tp := tr.CompletePersist(tok, 60); tp != 60 {
-		t.Fatalf("TP = %d, want 60", tp)
-	}
-}
-
-func TestServerTrackerInheritanceOnlyLowers(t *testing.T) {
-	tr := NewServerTracker(10)
-	tr.OnReplayReceived(99) // higher than current TP: no change
-	if tr.TP() != 10 {
-		t.Fatalf("TP = %d, want 10", tr.TP())
+	tr.OnFlushed(2)
+	if tf := tr.Advance(); tf != 2 {
+		t.Fatalf("TF = %d, want 2", tf)
 	}
 }
 

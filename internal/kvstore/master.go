@@ -13,12 +13,12 @@ import (
 )
 
 // ServerFailureListener is notified when the master declares a region
-// server dead, before any region recovery starts. The recovery manager uses
-// this hook to snapshot the failed server's T_P (paper §3.2: "We added a
+// server dead, before any region recovery starts (paper §3.2: "We added a
 // hook in the master server that notifies our recovery manager whenever a
-// server fails").
+// server fails"). tp is the server's frozen T_P(s): its last heartbeat
+// report, or its registration seed if it never reported.
 type ServerFailureListener interface {
-	OnServerFailure(serverID string, regions []RegionInfo)
+	OnServerFailure(serverID string, tp kv.Timestamp, regions []RegionInfo)
 }
 
 // ServerRecoveryCompleteListener is notified when every region of a failed
@@ -85,7 +85,8 @@ func (c MasterConfig) withDefaults() MasterConfig {
 
 type serverRec struct {
 	host          RegionHost
-	addr          string // client-dialable address ("" = in-process only)
+	addr          string       // client-dialable address ("" = in-process only)
+	tp            kv.Timestamp // T_P(s): last heartbeat report, frozen once dead
 	lastHB        time.Time
 	alive         bool
 	leaseInFlight bool // a RenewLeases batch is outstanding
@@ -94,7 +95,10 @@ type serverRec struct {
 // Master coordinates region assignment, detects server failures via
 // heartbeats, splits dead servers' write-ahead logs by region, and
 // re-assigns and re-opens affected regions on live servers — the HBase
-// master, with the two recovery-manager hooks the paper adds.
+// master, with the two recovery-manager hooks the paper adds. The region
+// servers' heartbeats also carry their persisted thresholds T_P(s) (paper
+// Alg. 3), which the master keeps for the recovery manager, and the replies
+// carry back the global T_F the recovery manager last published.
 type Master struct {
 	cfg MasterConfig
 	fs  dfs.FileSystem
@@ -108,6 +112,7 @@ type Master struct {
 	replicas   map[string]*replicaSet  // region ID -> replication group
 	recovering map[string]bool         // region ID currently offline
 	deadDone   map[string]bool         // failed servers whose regions are all back
+	tf, tp     kv.Timestamp            // global thresholds last published by the recovery manager
 	splitSeq   int                     // monotonically increasing split counter
 	gate       RecoveryGate
 	listeners  []ServerFailureListener
@@ -233,18 +238,50 @@ func (m *Master) AddServerHost(host RegionHost, addr string) error {
 	if _, ok := m.servers[host.ID()]; ok {
 		return fmt.Errorf("kvstore: server %s already registered", host.ID())
 	}
-	m.servers[host.ID()] = &serverRec{host: host, addr: addr, lastHB: time.Now(), alive: true}
+	// Alg. 4 "On register": T_P(s) starts at the global T_P, which holds
+	// until the server's first report.
+	m.servers[host.ID()] = &serverRec{host: host, addr: addr, tp: m.tp, lastHB: time.Now(), alive: true}
 	m.order = append(m.order, host.ID())
 	return nil
 }
 
-// Heartbeat records a liveness heartbeat from a server.
-func (m *Master) Heartbeat(serverID string) {
+// Heartbeat records a heartbeat from a live server carrying its T_P(s), and
+// returns the global T_F for the server's next persist. A server the master
+// does not count as live gets ErrServerStopped.
+func (m *Master) Heartbeat(serverID string, tp kv.Timestamp) (kv.Timestamp, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if rec, ok := m.servers[serverID]; ok && rec.alive {
-		rec.lastHB = time.Now()
+	rec, ok := m.servers[serverID]
+	if !ok || !rec.alive {
+		return 0, fmt.Errorf("%w: %s is not a live server", ErrServerStopped, serverID)
 	}
+	rec.lastHB = time.Now()
+	rec.tp = tp
+	return m.tf, nil
+}
+
+// PublishThresholds records the recovery manager's global thresholds: T_F
+// goes back to servers on heartbeat replies, T_P seeds the T_P(s) of servers
+// that register from now on.
+func (m *Master) PublishThresholds(tf, tp kv.Timestamp) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tf, m.tp = tf, tp
+}
+
+// ServerThresholds returns T_P(s) of every server whose data the log may
+// still have to replay: the live ones, and the failed ones whose regions
+// are not all back online yet (frozen at their last report).
+func (m *Master) ServerThresholds() map[string]kv.Timestamp {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[string]kv.Timestamp, len(m.servers))
+	for id, rec := range m.servers {
+		if rec.alive || !m.deadDone[id] {
+			out[id] = rec.tp
+		}
+	}
+	return out
 }
 
 // LiveServers returns the IDs of servers currently considered alive.
@@ -510,6 +547,7 @@ func (m *Master) handleServerFailure(serverID string) {
 		return
 	}
 	rec.alive = false
+	tp := rec.tp
 	// Collect affected regions and take them offline.
 	var affected []RegionInfo
 	for _, regions := range m.tables {
@@ -527,7 +565,7 @@ func (m *Master) handleServerFailure(serverID string) {
 
 	// Hook 1: notify the recovery manager before region recovery begins.
 	for _, l := range listeners {
-		l.OnServerFailure(serverID, affected)
+		l.OnServerFailure(serverID, tp, affected)
 	}
 
 	// Promotion-first failover: a region with a live, caught-up follower
@@ -596,26 +634,17 @@ func (m *Master) handleServerFailure(serverID string) {
 	}
 }
 
-// RecoveredDeadServers returns failed servers whose regions have all been
-// reassigned and brought back online. A restarted recovery manager uses it
-// to reconcile stale checkpoint state.
-func (m *Master) RecoveredDeadServers() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.deadDone))
-	for id := range m.deadDone {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // splitWAL reads the durable WAL of a dead server and groups its entries by
 // region — HBase's log-splitting step. The grouped edits are also persisted
 // as per-region "recovered edits" files, as HBase does, so the split output
 // itself survives master hiccups.
 func (m *Master) splitWAL(serverID string) map[string][]WALEntry {
 	out := make(map[string][]WALEntry)
+	// A region's recovered edits are journaled again by the server that
+	// opens it, so a later split of that server returns them again — once
+	// per time the region was recovered onto it. Drop repeated cells, or
+	// the edits multiply across failures.
+	seen := make(map[string]map[kv.Cell]bool)
 	// Every surviving WAL generation of the dead server, oldest first
 	// (zero-padded generation numbers keep List's sort chronological).
 	// Replay across generations is idempotent: entries carry their commit
@@ -630,7 +659,22 @@ func (m *Master) splitWAL(serverID string) map[string][]WALEntry {
 			if err != nil {
 				continue // torn or foreign record: skip, TM-log replay covers it
 			}
-			out[e.RegionID] = append(out[e.RegionID], e)
+			cells := seen[e.RegionID]
+			if cells == nil {
+				cells = make(map[kv.Cell]bool)
+				seen[e.RegionID] = cells
+			}
+			kvs := e.KVs[:0]
+			for _, x := range e.KVs {
+				if !cells[x.Cell] {
+					cells[x.Cell] = true
+					kvs = append(kvs, x)
+				}
+			}
+			if len(kvs) > 0 {
+				e.KVs = kvs
+				out[e.RegionID] = append(out[e.RegionID], e)
+			}
 		}
 	}
 	for regionID, entries := range out {

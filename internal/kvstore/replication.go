@@ -513,6 +513,13 @@ func (s *RegionServer) promoteStaged(regionID string, epoch uint64, leaseTTL tim
 	if err != nil {
 		return nil, err
 	}
+	// The copy's stream is journaled in this server's WAL, but a lagging
+	// follower may hold entries its last sync missed although T_P(s)
+	// already passed them. Once primary it is their only holder (the old
+	// primary's WAL is not split), so make them durable first.
+	if err := s.SyncWAL(); err != nil {
+		return nil, err
+	}
 	rep := &e.rep
 	rep.mu.Lock()
 	cur := rep.epoch.Load()

@@ -12,19 +12,6 @@ import (
 	"txkv/internal/wal"
 )
 
-// ServerHooks lets the recovery middleware (internal/core) observe the
-// server's write path without the store depending on it. The paper keeps
-// modifications to the key-value server minimal; this interface is that
-// minimal surface.
-type ServerHooks interface {
-	// OnWriteSetApplied is called after a write-set portion has been
-	// applied to the in-memory store and appended to the (in-memory) WAL
-	// buffer, before the server acknowledges the client. When the write
-	// comes from the recovery client replaying a failed server s, piggy
-	// carries T_P(s) and hasPiggy is true (paper Alg. 3, lines 18-22).
-	OnWriteSetApplied(ws kv.WriteSet, piggy kv.Timestamp, hasPiggy bool)
-}
-
 // ServerConfig configures a region server.
 type ServerConfig struct {
 	// ID is the server's node name, unique per incarnation.
@@ -34,9 +21,10 @@ type ServerConfig struct {
 	// paper's system runs with SyncWrites=false: the WAL buffer is synced
 	// asynchronously.
 	SyncWrites bool
-	// WALSyncInterval is the cadence of the asynchronous WAL syncer. Zero
-	// disables the loop; the recovery agent's heartbeat then performs the
-	// only syncs, exactly as in the paper's Algorithm 3.
+	// WALSyncInterval is the cadence of the asynchronous WAL syncer, the
+	// paper's Algorithm 3 "persist": each sync advances the server's
+	// persisted threshold T_P(s) to the global T_F learned before it.
+	// Zero means the default, 50ms.
 	WALSyncInterval time.Duration
 	// MemstoreFlushBytes triggers a memstore flush when a region's active
 	// memstore exceeds this size.
@@ -47,7 +35,9 @@ type ServerConfig struct {
 	BlockCacheBytes int
 	// BlockSize is the store-file block size.
 	BlockSize int
-	// HeartbeatInterval is the liveness heartbeat cadence to the master.
+	// HeartbeatInterval is the heartbeat cadence to the master: liveness,
+	// plus T_P(s) out and the global T_F back. Zero means the default,
+	// 100ms.
 	HeartbeatInterval time.Duration
 	// CompactionThreshold triggers a background compaction when a region
 	// accumulates more than this many store files. Zero disables
@@ -94,7 +84,7 @@ type ServerObs struct {
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.WALSyncInterval == 0 {
+	if c.WALSyncInterval <= 0 {
 		c.WALSyncInterval = 50 * time.Millisecond
 	}
 	if c.MemstoreFlushBytes <= 0 {
@@ -117,14 +107,24 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // RegionServer hosts regions and serves reads and writes. Its write path
 // reproduces the paper's Algorithm 3: append the update batch to the WAL
-// buffer, apply it to the memstore, notify the tracker hook, and return —
-// persistence to the DFS happens asynchronously.
+// buffer, apply it to the memstore, and return — persistence to the DFS
+// happens asynchronously, and each WAL sync advances the server's persisted
+// threshold T_P(s), which rides the heartbeat to the master.
 type RegionServer struct {
-	cfg   ServerConfig
-	fs    dfs.FileSystem
-	hb    HeartbeatSink
-	hooks ServerHooks
-	cache *BlockCache
+	cfg     ServerConfig
+	fs      dfs.FileSystem
+	hb      HeartbeatSink
+	cache   *BlockCache
+	tracker serverTracker
+
+	// syncMu serializes WAL syncs: the DFS writer's Sync may return while
+	// an earlier, concurrent one still ships the buffer, and T_P(s) may
+	// only advance once everything appended before the sync is durable.
+	syncMu sync.Mutex
+	// reportMu makes reading T_P(s) and sending it one step, so a value
+	// read before a replay lowered T_P(s) never reaches the master after
+	// the lowered one.
+	reportMu sync.Mutex
 
 	// repl is the replication shipping engine (nil = replication off).
 	// Set before Start; replicated primaries block their write acks on
@@ -207,10 +207,6 @@ func (s *RegionServer) ID() string { return s.cfg.ID }
 // Cache returns the server's block cache (stats for benchmarks).
 func (s *RegionServer) Cache() *BlockCache { return s.cache }
 
-// SetHooks attaches the recovery middleware hooks. Must be called before
-// Start.
-func (s *RegionServer) SetHooks(h ServerHooks) { s.hooks = h }
-
 // walPath names one WAL generation; walPrefix matches every generation of
 // a server (the trailing dot keeps "server-1" from matching "server-10").
 func walPath(id string, gen int) string { return fmt.Sprintf("/wal/%s.%08d.log", id, gen) }
@@ -238,13 +234,10 @@ func (s *RegionServer) Start(hb HeartbeatSink) error {
 	s.hb = hb
 	s.mu.Unlock()
 
-	s.wg.Add(2)
+	s.wg.Add(3)
 	go s.heartbeatLoop()
 	go s.flushLoop()
-	if s.cfg.WALSyncInterval > 0 && !s.cfg.SyncWrites {
-		s.wg.Add(1)
-		go s.walSyncLoop()
-	}
+	go s.walSyncLoop()
 	return nil
 }
 
@@ -257,14 +250,32 @@ func (s *RegionServer) heartbeatLoop() {
 		case <-s.stop:
 			return
 		case <-t.C:
-			s.mu.RLock()
-			hb, crashed := s.hb, s.crashed
-			s.mu.RUnlock()
-			if hb != nil && !crashed {
-				hb.Heartbeat(s.cfg.ID)
-			}
+			// A missed beat only delays T_F and T_P; the master's failure
+			// detector tolerates several.
+			_ = s.report()
 		}
 	}
+}
+
+// report sends one heartbeat carrying T_P(s) and learns the global T_F from
+// the reply (Alg. 3 "heartbeat").
+func (s *RegionServer) report() error {
+	s.reportMu.Lock()
+	defer s.reportMu.Unlock()
+	s.mu.RLock()
+	hb, crashed := s.hb, s.crashed
+	s.mu.RUnlock()
+	if hb == nil || crashed {
+		return ErrServerStopped
+	}
+	tp := s.tracker.sending()
+	tf, err := hb.Heartbeat(s.cfg.ID, tp)
+	if err != nil {
+		return err
+	}
+	s.tracker.landed(tp)
+	s.tracker.learnTF(tf)
+	return nil
 }
 
 func (s *RegionServer) walSyncLoop() {
@@ -339,8 +350,8 @@ func (s *RegionServer) HostedRegionInfos() []RegionInfo {
 	return out
 }
 
-// SyncWAL persists the WAL buffer to the DFS. Called by the async syncer
-// loop and by the recovery agent's heartbeat (Algorithm 3: "persist").
+// SyncWAL persists the WAL buffer to the DFS and advances T_P(s) (Algorithm
+// 3: "persist"). Called by the async syncer loop and on clean shutdown.
 func (s *RegionServer) SyncWAL() error {
 	// The shared barrier keeps the writer from being closed by a
 	// concurrent roll while the sync is in flight.
@@ -352,7 +363,21 @@ func (s *RegionServer) SyncWAL() error {
 	if crashed || w == nil {
 		return ErrServerStopped
 	}
-	return w.Sync()
+	return s.syncWAL(w)
+}
+
+// syncWAL syncs w, the current WAL generation, and on success advances
+// T_P(s) to the global T_F known before the sync began. The caller holds
+// walMu.
+func (s *RegionServer) syncWAL(w *wal.Writer) error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	tf, pins := s.tracker.beginSync()
+	if err := w.Sync(); err != nil {
+		return err
+	}
+	s.tracker.synced(tf, pins)
+	return nil
 }
 
 // findRegion returns the region containing (table, row). When
@@ -456,9 +481,14 @@ func (s *RegionServer) ApplyWriteSet(ws kv.WriteSet, piggy kv.Timestamp, hasPigg
 	for e, kvs := range byRegion {
 		e.r.Apply(kvs)
 	}
-	// 3. Notify the recovery tracker.
-	if s.hooks != nil {
-		s.hooks.OnWriteSetApplied(ws, piggy, hasPiggy)
+	// 3. A replay from the recovery client carries the failed server's
+	// T_P: inherit it, and report a lowered T_P(s) to the master before
+	// acknowledging (Alg. 3 lines 18-22). A report that does not land
+	// fails the replay, which the recovery manager retries.
+	if hasPiggy && s.tracker.inherit(piggy) {
+		if err := s.report(); err != nil {
+			return err
+		}
 	}
 	// 4. Replicated primaries journal the batch to their followers and
 	// block here until a majority of the replica set holds it. A fenced
@@ -477,7 +507,7 @@ func (s *RegionServer) ApplyWriteSet(ws kv.WriteSet, piggy kv.Timestamp, hasPigg
 	}
 	// Synchronous-persistence baseline: pay the DFS sync before the ack.
 	if s.cfg.SyncWrites {
-		if err := w.Sync(); err != nil {
+		if err := s.syncWAL(w); err != nil {
 			return err
 		}
 	}
@@ -577,6 +607,9 @@ func (s *RegionServer) installRegion(r *Region, info RegionInfo, recoveredEdits 
 	for _, e := range recoveredEdits {
 		r.Apply(e.KVs)
 	}
+	if err := s.journalRecoveredEdits(recoveredEdits); err != nil {
+		return err
+	}
 	// Recovery-manager gate: transactional recovery must complete before
 	// the region goes online (paper §3.2), otherwise clients could read
 	// partially recovered write-sets. The region is published in the
@@ -606,6 +639,24 @@ func (s *RegionServer) installRegion(r *Region, info RegionInfo, recoveredEdits 
 	entry.online = true
 	s.mu.Unlock()
 	return nil
+}
+
+// journalRecoveredEdits makes a recovering region's split-WAL edits durable
+// in this server's own WAL before the region can go online. Otherwise they
+// live only in its memstore: once the failed server's recovery completes,
+// its frozen T_P no longer holds back truncation, this server's T_P(s)
+// passes them, and its own failure would find them in no WAL (the failed
+// server's is not split again) and no log.
+func (s *RegionServer) journalRecoveredEdits(edits []WALEntry) error {
+	if len(edits) == 0 {
+		return nil
+	}
+	for _, e := range edits {
+		if err := s.appendWALEntry(e); err != nil {
+			return err
+		}
+	}
+	return s.SyncWAL()
 }
 
 // OpenRegionRecovering is the first half of a staged region open: the
@@ -640,6 +691,9 @@ func (s *RegionServer) OpenRegionRecovering(info RegionInfo, files []string, has
 	r.stats = s.cfg.FileStats
 	for _, e := range recoveredEdits {
 		r.Apply(e.KVs)
+	}
+	if err := s.journalRecoveredEdits(recoveredEdits); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -769,20 +823,31 @@ func (s *RegionServer) RollWAL() error {
 	defer s.rollMu.Unlock()
 
 	s.walMu.Lock()
+	s.mu.RLock()
+	old, crashed := s.wal, s.crashed
+	s.mu.RUnlock()
+	if crashed || old == nil {
+		s.walMu.Unlock()
+		return ErrServerStopped
+	}
+	// Persist the old generation's tail while writers are held off: once
+	// the fresh generation is current, its syncs advance T_P(s), which must
+	// not run past edits buffered in the old one.
+	if err := s.syncWAL(old); err != nil {
+		s.walMu.Unlock()
+		return fmt.Errorf("server %s: roll wal: %w", s.cfg.ID, err)
+	}
 	s.mu.Lock()
 	if s.crashed || s.wal == nil {
 		s.mu.Unlock()
 		s.walMu.Unlock()
 		return ErrServerStopped
 	}
-	old := s.wal
 	oldPath := walPath(s.cfg.ID, s.walGen)
-	if old.Buffered() == 0 {
-		if n, err := s.fs.Size(oldPath); err == nil && n == 0 {
-			s.mu.Unlock()
-			s.walMu.Unlock()
-			return nil // nothing logged since the last roll
-		}
+	if n, err := s.fs.Size(oldPath); err == nil && n == 0 {
+		s.mu.Unlock()
+		s.walMu.Unlock()
+		return nil // nothing logged since the last roll
 	}
 	nw, err := wal.Create(s.fs, walPath(s.cfg.ID, s.walGen+1))
 	if err != nil {
@@ -796,15 +861,7 @@ func (s *RegionServer) RollWAL() error {
 	s.mu.Unlock()
 	s.walMu.Unlock()
 
-	// Persist the old generation's buffered tail before freezing it:
-	// Close alone would drop the buffer, and the recovery agent's next
-	// heartbeat (which syncs the fresh, empty generation) would advance
-	// T_P past edits that were never made durable anywhere. If the sync
-	// fails the FlushAll below still covers the edits — they are all in
-	// memstores thanks to the roll barrier — and a flush failure keeps
-	// the old generations on the DFS.
-	_ = old.Sync()
-	_ = old.Close()
+	_ = old.Close() // synced above, nothing buffered to drop
 
 	// Flush regions with enough dirt to be worth a store file; carry the
 	// mostly-idle ones' few edits into the fresh generation instead (a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -292,7 +291,7 @@ func TestStoreRecoveryGateBlocksRegion(t *testing.T) {
 		return nil
 	}))
 	var failNotices atomic.Int32
-	ts.master.AddFailureListener(listenerFunc(func(serverID string, regions []RegionInfo) {
+	ts.master.AddFailureListener(listenerFunc(func(serverID string, _ kv.Timestamp, regions []RegionInfo) {
 		failNotices.Add(1)
 	}))
 	if err := ts.master.CreateTable("t", nil); err != nil {
@@ -338,9 +337,9 @@ func (f gateFunc) RecoverRegion(r RegionInfo, failed string, host RegionHost) er
 	return f(r, failed, host)
 }
 
-type listenerFunc func(string, []RegionInfo)
+type listenerFunc func(string, kv.Timestamp, []RegionInfo)
 
-func (f listenerFunc) OnServerFailure(id string, rs []RegionInfo) { f(id, rs) }
+func (f listenerFunc) OnServerFailure(id string, tp kv.Timestamp, rs []RegionInfo) { f(id, tp, rs) }
 
 // TestStoreFlushRetriesThroughFailure verifies the paper's §3.2 workaround:
 // a client flush interrupted by a server failure keeps retrying (no retry
@@ -378,43 +377,53 @@ func TestStoreFlushRetriesThroughFailure(t *testing.T) {
 	}
 }
 
-func TestStoreServerHooksObserveWrites(t *testing.T) {
-	ts := newTestStore(t, 1, false)
-	var mu sync.Mutex
-	var seen []kv.Timestamp
-	var piggies []kv.Timestamp
-	ts.srvs[0].SetHooks(hooksFunc(func(ws kv.WriteSet, piggy kv.Timestamp, hasPiggy bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		seen = append(seen, ws.CommitTS)
-		if hasPiggy {
-			piggies = append(piggies, piggy)
+// TestStoreReplayPiggybackReportedToMaster: a replayed write-set carrying
+// a failed server's T_P (the recovery client's flush, hasPiggy) lowers the
+// receiving server's T_P(s) at the master before the flush returns (Alg. 3
+// lines 18-22), and a later sync lifts the pin.
+func TestStoreReplayPiggybackReportedToMaster(t *testing.T) {
+	fs := dfs.New(dfs.Config{})
+	master := NewMaster(MasterConfig{HeartbeatTimeout: time.Hour}, fs)
+	master.PublishThresholds(10, 0)
+	srv := NewRegionServer(ServerConfig{
+		ID:                "s1",
+		WALSyncInterval:   time.Hour, // syncs and beats only when the test says
+		HeartbeatInterval: time.Hour,
+	}, fs)
+	if err := master.AddServer(srv); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	if err := master.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	persist := func() kv.Timestamp {
+		t.Helper()
+		if err := srv.report(); err != nil { // learn T_F
+			t.Fatal(err)
 		}
-	}))
-	if err := ts.master.CreateTable("t", nil); err != nil {
+		if err := srv.SyncWAL(); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.report(); err != nil { // report T_P(s)
+			t.Fatal(err)
+		}
+		return master.ServerThresholds()["s1"]
+	}
+	if tp := persist(); tp != 10 {
+		t.Fatalf("setup: T_P(s) = %d, want 10", tp)
+	}
+	c := NewClient(ClientConfig{ID: "cR"}, netsim.New(netsim.Config{}), master)
+	if err := c.Flush(context.Background(), writeSet("cR", 3, "t", "b"), 2, true); err != nil {
 		t.Fatal(err)
 	}
-	c := ts.client("c1")
-	ctx := context.Background()
-	if err := c.Flush(ctx, writeSet("c1", 7, "t", "a"), 0, false); err != nil {
-		t.Fatal(err)
+	if tp := master.ServerThresholds()["s1"]; tp != 2 {
+		t.Fatalf("T_P(s) at the master after the replay = %d, want the inherited 2", tp)
 	}
-	if err := c.Flush(ctx, writeSet("cR", 3, "t", "b"), 2, true); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 2 || seen[0] != 7 || seen[1] != 3 {
-		t.Fatalf("hook saw %v", seen)
-	}
-	if len(piggies) != 1 || piggies[0] != 2 {
-		t.Fatalf("piggyback saw %v", piggies)
+	if tp := persist(); tp != 10 {
+		t.Fatalf("T_P(s) after the replay was synced = %d, want 10", tp)
 	}
 }
-
-type hooksFunc func(kv.WriteSet, kv.Timestamp, bool)
-
-func (f hooksFunc) OnWriteSetApplied(ws kv.WriteSet, p kv.Timestamp, h bool) { f(ws, p, h) }
 
 func TestStoreSyncWritesMode(t *testing.T) {
 	ts := newTestStore(t, 2, true)

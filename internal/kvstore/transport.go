@@ -204,12 +204,14 @@ func (e *loopbackEndpoint) Apply(ctx context.Context, ws kv.WriteSet, piggy kv.T
 	})
 }
 
-// HeartbeatSink receives region-server liveness heartbeats. The Master
+// HeartbeatSink receives region-server heartbeats: liveness for the
+// master's failure detector, carrying the server's persisted threshold
+// T_P(s) and answered with the global T_F (paper Alg. 3). The Master
 // implements it for in-process servers; internal/rpc's master client
 // implements it for region-server processes, whose heartbeats cross the
 // wire.
 type HeartbeatSink interface {
-	Heartbeat(serverID string)
+	Heartbeat(serverID string, tp kv.Timestamp) (tf kv.Timestamp, err error)
 }
 
 // RegionHost is the master's handle to one region server — the surface

@@ -20,7 +20,7 @@ func TestWALSplitProperty(t *testing.T) {
 		fs := dfs.New(dfs.Config{})
 		srv := NewRegionServer(ServerConfig{
 			ID:              "split-test",
-			WALSyncInterval: 0, // manual sync only
+			WALSyncInterval: 0, // the default 50ms syncer runs too; its extra syncs only recover more
 		}, fs)
 		master := NewMaster(MasterConfig{HeartbeatTimeout: time.Hour}, fs)
 		master.Start()

@@ -53,6 +53,7 @@ func FuzzFrame(f *testing.F) {
 func FuzzMessageDecoders(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 'x'})
+	f.Add(encHeartbeatReq("rs-1", 42))
 	f.Add(encGetReq("t", "r", "c", 1))
 	f.Add(encScanReq(kvstore.ScanRequest{Table: "t", Batch: 8}))
 	f.Add(encCommitReq(1, nil, false))
@@ -70,6 +71,8 @@ func FuzzMessageDecoders(f *testing.F) {
 		_, _, _ = decSplitRegionReq(data)
 		_, _ = decRegionInfosResp(data)
 		_, _, _ = decRegisterReq(data)
+		_, _, _ = decHeartbeatReq(data)
+		_, _ = decHeartbeatResp(data)
 		_, _, _, _, _ = decGetReq(data)
 		_, _, _ = decGetResp(data)
 		_, _, _, _ = decGetBatchReq(data)

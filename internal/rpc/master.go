@@ -17,7 +17,7 @@ import (
 // client works unchanged against a remote master.
 
 // heartbeatTimeout bounds one heartbeat RPC; a heartbeat that cannot land
-// within it is dropped (the next one is at most an interval away, and the
+// within it fails (the next one is at most an interval away, and the
 // master's failure detector tolerates several missed beats).
 const heartbeatTimeout = 2 * time.Second
 
@@ -80,17 +80,20 @@ func RegisterMasterService(s *Server, m *kvstore.Master, pool *Pool) {
 		return nil, m.AddServerHost(NewHostProxy(pool, serverID, addr), addr)
 	})
 	s.Handle(MHeartbeat, func(_ context.Context, _ *Session, body []byte) ([]byte, error) {
-		serverID, err := decStringMsg(body)
+		serverID, tp, err := decHeartbeatReq(body)
 		if err != nil {
 			return nil, err
 		}
-		m.Heartbeat(serverID)
-		return nil, nil
+		tf, err := m.Heartbeat(serverID, tp)
+		if err != nil {
+			return nil, err
+		}
+		return encHeartbeatResp(tf), nil
 	})
 }
 
 // MasterClient calls a remote master. It implements kvstore.HeartbeatSink,
-// so a region server's heartbeat loop drives it directly.
+// so a region server's heartbeat loop and replay reports drive it directly.
 type MasterClient struct {
 	pool *Pool
 	addr string
@@ -139,13 +142,16 @@ func (m *MasterClient) Register(ctx context.Context, serverID, addr string) erro
 	return err
 }
 
-// Heartbeat sends one liveness beat (kvstore.HeartbeatSink). Failures are
-// dropped: a missed beat is indistinguishable from a slow network, and the
-// master's failure detector already tolerates several.
-func (m *MasterClient) Heartbeat(serverID string) {
+// Heartbeat sends one beat carrying the server's T_P(s) and returns the
+// global T_F from the reply (kvstore.HeartbeatSink).
+func (m *MasterClient) Heartbeat(serverID string, tp kv.Timestamp) (kv.Timestamp, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), heartbeatTimeout)
 	defer cancel()
-	_, _ = m.pool.Call(ctx, m.addr, MHeartbeat, encStringMsg(serverID))
+	resp, err := m.pool.Call(ctx, m.addr, MHeartbeat, encHeartbeatReq(serverID, tp))
+	if err != nil {
+		return 0, err
+	}
+	return decHeartbeatResp(resp)
 }
 
 // TCPTransport is the remote kvstore.Transport: layouts resolve through a

@@ -43,7 +43,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	}
 
 	t.Run("string-bodied messages", func(t *testing.T) {
-		covers(MLocateAll, MTableRegions, MHeartbeat, RMarkOnline, RCloseRegion, RCloseFlush,
+		covers(MLocateAll, MTableRegions, RMarkOnline, RCloseRegion, RCloseFlush,
 			FCreate, FDelete, FExists, FList, FSize, FReadAll)
 		for _, s := range []string{"", "accounts", "wal/rs-1.00000001.log"} {
 			got, err := decStringMsg(encStringMsg(s))
@@ -93,6 +93,26 @@ func TestProtocolRoundTrips(t *testing.T) {
 		id, addr, err := decRegisterReq(encRegisterReq("rs-1", "10.0.0.2:4001"))
 		if err != nil || id != "rs-1" || addr != "10.0.0.2:4001" {
 			t.Fatalf("got %q %q, %v", id, addr, err)
+		}
+	})
+
+	t.Run("Heartbeat", func(t *testing.T) {
+		covers(MHeartbeat)
+		id, tp, err := decHeartbeatReq(encHeartbeatReq("rs-1", 1<<40))
+		if err != nil || id != "rs-1" || tp != 1<<40 {
+			t.Fatalf("req: got %q %d, %v", id, tp, err)
+		}
+		tf, err := decHeartbeatResp(encHeartbeatResp(77))
+		if err != nil || tf != 77 {
+			t.Fatalf("resp: got %d, %v", tf, err)
+		}
+		// tp and tf were appended to a serverID-only request and an empty
+		// response: an older peer's bodies decode with them as 0.
+		if id, tp, err := decHeartbeatReq(encStringMsg("rs-1")); err != nil || id != "rs-1" || tp != 0 {
+			t.Fatalf("serverID-only req: got %q %d, %v", id, tp, err)
+		}
+		if tf, err := decHeartbeatResp(nil); err != nil || tf != 0 {
+			t.Fatalf("empty resp: got %d, %v", tf, err)
 		}
 	})
 

@@ -245,7 +245,7 @@ func (d *dec) strings() []string {
 // --- master surface ---
 
 // encStringMsg / decStringMsg: the shared single-string body (MLocateAll,
-// MTableRegions, MHeartbeat table/serverID; FDelete/FExists/... paths).
+// MTableRegions table; FDelete/FExists/... paths).
 func encStringMsg(s string) []byte { return appendString(nil, s) }
 
 func decStringMsg(b []byte) (string, error) {
@@ -346,6 +346,36 @@ func decRegisterReq(b []byte) (string, string, error) {
 	id := d.str()
 	addr := d.str()
 	return id, addr, d.err
+}
+
+// encHeartbeatReq / decHeartbeatReq: serverID | tp. tp was appended to the
+// original serverID-only body; a body that ends after serverID (an older
+// sender) decodes as tp 0, which can only hold the global T_P back.
+func encHeartbeatReq(serverID string, tp kv.Timestamp) []byte {
+	return appendUvarint(appendString(nil, serverID), uint64(tp))
+}
+
+func decHeartbeatReq(b []byte) (string, kv.Timestamp, error) {
+	d := newDec(b)
+	id := d.str()
+	var tp kv.Timestamp
+	if d.err == nil && len(d.b) > 0 {
+		tp = kv.Timestamp(d.uvarint())
+	}
+	return id, tp, d.err
+}
+
+// encHeartbeatResp / decHeartbeatResp: the global T_F. An empty body (an
+// older master) decodes as 0, which a server ignores.
+func encHeartbeatResp(tf kv.Timestamp) []byte { return appendUvarint(nil, uint64(tf)) }
+
+func decHeartbeatResp(b []byte) (kv.Timestamp, error) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	d := newDec(b)
+	tf := kv.Timestamp(d.uvarint())
+	return tf, d.err
 }
 
 // --- region-server surface ---
