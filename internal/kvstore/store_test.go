@@ -425,6 +425,56 @@ func TestStoreReplayPiggybackReportedToMaster(t *testing.T) {
 	}
 }
 
+// TestStoreServerInheritsOnlyReplayPiggyback: the region server applies
+// every flushed write-set, but only a replay (hasPiggy) moves its T_P(s);
+// an ordinary flush with the same timestamps leaves it alone.
+func TestStoreServerInheritsOnlyReplayPiggyback(t *testing.T) {
+	fs := dfs.New(dfs.Config{})
+	master := NewMaster(MasterConfig{HeartbeatTimeout: time.Hour}, fs)
+	master.PublishThresholds(10, 0)
+	srv := NewRegionServer(ServerConfig{
+		ID:                "s1",
+		WALSyncInterval:   time.Hour,
+		HeartbeatInterval: time.Hour,
+	}, fs)
+	if err := master.AddServer(srv); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	if err := master.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.report(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if tp := srv.tracker.TP(); tp != 10 {
+		t.Fatalf("setup: T_P(s) = %d, want 10", tp)
+	}
+	c := NewClient(ClientConfig{ID: "c1"}, netsim.New(netsim.Config{}), master)
+	ctx := context.Background()
+	if err := c.Flush(ctx, writeSet("c1", 7, "t", "a"), 2, false); err != nil {
+		t.Fatal(err)
+	}
+	if tp := srv.tracker.TP(); tp != 10 {
+		t.Fatalf("T_P(s) after an ordinary flush = %d, want 10", tp)
+	}
+	if err := c.Flush(ctx, writeSet("cR", 3, "t", "b"), 2, true); err != nil {
+		t.Fatal(err)
+	}
+	if tp := srv.tracker.TP(); tp != 2 {
+		t.Fatalf("T_P(s) after the replay = %d, want the inherited 2", tp)
+	}
+	for row, want := range map[string]string{"a": "v7-a", "b": "v3-b"} {
+		got, found, err := c.Get(ctx, "t", kv.Key(row), "f", kv.MaxTimestamp)
+		if err != nil || !found || string(got.Value) != want {
+			t.Fatalf("row %s: %q found=%v %v, want %q", row, got.Value, found, err, want)
+		}
+	}
+}
+
 func TestStoreSyncWritesMode(t *testing.T) {
 	ts := newTestStore(t, 2, true)
 	if err := ts.master.CreateTable("t", nil); err != nil {
