@@ -1,276 +1,20 @@
-// Root benchmarks: one testing.B benchmark per reproduced figure/table
-// (scaled down so `go test -bench=.` completes in minutes) plus
-// micro-benchmarks of the load-bearing substrates. cmd/txkvbench runs the
-// full-size experiments and prints the figures' rows; these benchmarks
-// track the same effects as Go benchmark numbers.
+// Root micro-benchmarks of the load-bearing substrates: group commit, log
+// append, the write-set codec and the workload generator. The paper's
+// figures are shape tests in paper_test.go; end-to-end latency and
+// throughput are perfbench's.
 package txkv_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
-	"txkv/internal/cluster"
 	"txkv/internal/kv"
 	"txkv/internal/txlog"
 	"txkv/internal/txmgr"
 	"txkv/internal/ycsb"
 )
-
-// benchCluster builds a small cluster with the paper's latency ratios.
-func benchCluster(b *testing.B, syncPersistence bool, hb time.Duration, disableRecovery bool) (*cluster.Cluster, ycsb.Workload) {
-	b.Helper()
-	cfg := cluster.Config{
-		Servers:                2,
-		Replication:            2,
-		RPCLatency:             50 * time.Microsecond,
-		LogSyncLatency:         500 * time.Microsecond,
-		DFSSyncLatency:         1500 * time.Microsecond,
-		DFSReadLatency:         150 * time.Microsecond,
-		SyncPersistence:        syncPersistence,
-		DisableRecovery:        disableRecovery,
-		HeartbeatInterval:      hb,
-		MasterHeartbeatTimeout: time.Second,
-		WALSyncInterval:        20 * time.Millisecond,
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := ycsb.Workload{Table: "usertable", RecordCount: 2000, OpsPerTxn: 10, ReadRatio: 0.5, ValueSize: 100}
-	if err := ycsb.Load(c, w, 2, 500, 4); err != nil {
-		c.Stop()
-		b.Fatal(err)
-	}
-	return c, w
-}
-
-// runTxnLoop measures end-to-end transaction latency for b.N transactions.
-func runTxnLoop(b *testing.B, c *cluster.Cluster, w ycsb.Workload) {
-	b.Helper()
-	cl, err := c.NewClient(fmt.Sprintf("bench-%d", b.N))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Stop()
-	val := make([]byte, w.ValueSize)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.Update(ctx, func(txn *cluster.Txn) error {
-			for op := 0; op < w.OpsPerTxn; op++ {
-				row := ycsb.RowKey(uint64((i*w.OpsPerTxn + op) % w.RecordCount))
-				if op%2 == 0 {
-					if _, _, err := txn.Get(ctx, w.Table, row, "field0"); err != nil {
-						return err
-					}
-				} else if err := txn.Put(ctx, w.Table, row, "field0", val); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-}
-
-// BenchmarkFig2aAsyncPersistence measures per-transaction latency with the
-// paper's asynchronous persistence (Figure 2(a), lower curve).
-func BenchmarkFig2aAsyncPersistence(b *testing.B) {
-	c, w := benchCluster(b, false, time.Second, false)
-	defer c.Stop()
-	runTxnLoop(b, c, w)
-}
-
-// BenchmarkFig2aSyncPersistence measures per-transaction latency with
-// synchronous persistence (Figure 2(a), upper curve). Expect a visibly
-// higher ns/op than the async benchmark.
-func BenchmarkFig2aSyncPersistence(b *testing.B) {
-	c, w := benchCluster(b, true, time.Second, false)
-	defer c.Stop()
-	runTxnLoop(b, c, w)
-}
-
-// BenchmarkFig2bHeartbeat measures transaction latency across heartbeat
-// intervals (Figure 2(b)) plus the no-tracking ablation.
-func BenchmarkFig2bHeartbeat(b *testing.B) {
-	for _, hb := range []time.Duration{50 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second, 10 * time.Second} {
-		b.Run(hb.String(), func(b *testing.B) {
-			c, w := benchCluster(b, false, hb, false)
-			defer c.Stop()
-			runTxnLoop(b, c, w)
-		})
-	}
-	b.Run("no-tracking", func(b *testing.B) {
-		c, w := benchCluster(b, false, time.Second, true)
-		defer c.Stop()
-		runTxnLoop(b, c, w)
-	})
-}
-
-// BenchmarkFig3Recovery measures the full server-failure recovery cycle
-// (Figure 3's disturbance): commit a burst, crash the server hosting the
-// data, and time until every committed row is readable again.
-func BenchmarkFig3Recovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := cluster.Config{
-			Servers:                2,
-			HeartbeatInterval:      100 * time.Millisecond,
-			MasterHeartbeatTimeout: 300 * time.Millisecond,
-			WALSyncInterval:        0,
-		}
-		c, err := cluster.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.CreateTable("t", nil); err != nil {
-			b.Fatal(err)
-		}
-		cl, err := c.NewClient("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		var last kv.Timestamp
-		for j := 0; j < 50; j++ {
-			row := kv.Key(fmt.Sprintf("r%03d", j))
-			cts, err := cl.Update(ctx, func(txn *cluster.Txn) error {
-				return txn.Put(ctx, "t", row, "f", []byte("v"))
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = cts
-		}
-		if err := c.WaitFlushed(last, 30*time.Second); err != nil {
-			b.Fatal(err)
-		}
-
-		b.StartTimer()
-		_ = c.CrashServer(c.ServerIDs()[0])
-		// Recovery complete when every row is readable again.
-		for j := 0; j < 50; j++ {
-			row := kv.Key(fmt.Sprintf("r%03d", j))
-			for {
-				var ok bool
-				err := cl.View(ctx, func(txn *cluster.Txn) error {
-					var err error
-					_, ok, err = txn.Get(ctx, "t", row, "f")
-					return err
-				})
-				if err == nil && ok {
-					break
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-		b.StopTimer()
-		c.Stop()
-	}
-}
-
-// BenchmarkReplayBound measures how many write-sets one region recovery
-// replays (the §3.1 "throughput x heartbeat interval" bound) — reported as
-// the custom metric writesets/recovery.
-func BenchmarkReplayBound(b *testing.B) {
-	var totalReplayed int64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := cluster.Config{
-			Servers:                2,
-			HeartbeatInterval:      200 * time.Millisecond,
-			MasterHeartbeatTimeout: 300 * time.Millisecond,
-			WALSyncInterval:        0,
-		}
-		c, err := cluster.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.CreateTable("t", nil); err != nil {
-			b.Fatal(err)
-		}
-		cl, _ := c.NewClient("bench")
-		ctx := context.Background()
-		var last kv.Timestamp
-		for j := 0; j < 100; j++ {
-			row := kv.Key(fmt.Sprintf("r%03d", j))
-			if cts, err := cl.Update(ctx, func(txn *cluster.Txn) error {
-				return txn.Put(ctx, "t", row, "f", []byte("v"))
-			}); err == nil {
-				last = cts
-			}
-		}
-		_ = c.WaitFlushed(last, 30*time.Second)
-		b.StartTimer()
-		_ = c.CrashServer(c.ServerIDs()[0])
-		rm := c.RecoveryManager()
-		for rm.StatsSnapshot().RegionsRecovered == 0 {
-			time.Sleep(2 * time.Millisecond)
-		}
-		b.StopTimer()
-		totalReplayed += int64(rm.StatsSnapshot().WriteSetsReplayed)
-		c.Stop()
-	}
-	b.ReportMetric(float64(totalReplayed)/float64(b.N), "writesets/recovery")
-}
-
-// BenchmarkLogTruncation measures steady-state log size with truncation
-// enabled (tbl-trunc); reported as the custom metric records/log.
-func BenchmarkLogTruncation(b *testing.B) {
-	c, w := benchCluster(b, false, 100*time.Millisecond, false)
-	defer c.Stop()
-	runTxnLoop(b, c, w)
-	// After the run, thresholds catch up and the log shrinks to a window.
-	time.Sleep(500 * time.Millisecond)
-	s := c.Log().Stats()
-	b.ReportMetric(float64(s.DurableRecords), "records/log")
-	b.ReportMetric(float64(s.TruncatedRecords), "truncated")
-}
-
-// BenchmarkClientRecovery measures client-failure detection + replay time
-// (tbl-clientfail).
-func BenchmarkClientRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := cluster.Config{
-			Servers:                2,
-			HeartbeatInterval:      50 * time.Millisecond,
-			SessionTTL:             200 * time.Millisecond,
-			MasterHeartbeatTimeout: time.Second,
-			WALSyncInterval:        10 * time.Millisecond,
-		}
-		c, err := cluster.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.CreateTable("t", nil); err != nil {
-			b.Fatal(err)
-		}
-		victim, _ := c.NewClient("victim")
-		c.Network().SetPartition("victim", 3)
-		ctx := context.Background()
-		if _, err := victim.Update(ctx, func(txn *cluster.Txn) error {
-			return txn.Put(ctx, "t", "orphan", "f", []byte("v"))
-		}); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		victim.Crash()
-		rm := c.RecoveryManager()
-		for rm.StatsSnapshot().ClientsRecovered == 0 {
-			time.Sleep(2 * time.Millisecond)
-		}
-		b.StopTimer()
-		c.Stop()
-	}
-}
-
-// --- substrate micro-benchmarks ---
 
 // BenchmarkTxnCommitGroupCommit measures raw TM commit latency under
 // concurrency (group commit amortizes the log fsync).

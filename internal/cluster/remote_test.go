@@ -721,7 +721,8 @@ func TestRemoteMixedKillLosesNoAcknowledgedRow(t *testing.T) {
 
 // TestRemoteOnlyLogTruncates: with only region-server processes, their
 // T_P(s) reports on the master heartbeat advance the global T_P to T_F,
-// and the recovery manager truncates the log.
+// and the recovery manager truncates the log — round after round, so the
+// retained log stays bounded while the commits keep growing.
 func TestRemoteOnlyLogTruncates(t *testing.T) {
 	c, addr, _ := startRemoteCluster(t, 2)
 	if err := c.CreateTable("t", []kv.Key{"row-20"}); err != nil {
@@ -729,27 +730,141 @@ func TestRemoteOnlyLogTruncates(t *testing.T) {
 	}
 	cl := connectRemoteClient(t, addr, "truncation")
 	ctx := context.Background()
-	var last kv.Timestamp
-	for i := 0; i < 40; i++ {
-		ts, err := cl.Update(ctx, func(txn *Txn) error {
-			return txn.Put(ctx, "t", kv.Key(fmt.Sprintf("row-%02d", i)), "v", []byte("x"))
-		})
-		if err != nil {
-			t.Fatalf("commit %d: %v", i, err)
+	const rounds, perRound = 4, 40
+	for round := 1; round <= rounds; round++ {
+		var last kv.Timestamp
+		for i := 0; i < perRound; i++ {
+			ts, err := cl.Update(ctx, func(txn *Txn) error {
+				return txn.Put(ctx, "t", kv.Key(fmt.Sprintf("row-%02d", i)), "v", []byte(strconv.Itoa(round)))
+			})
+			if err != nil {
+				t.Fatalf("round %d commit %d: %v", round, i, err)
+			}
+			last = ts
 		}
-		last = ts
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			st, ls := c.Stats(), c.Log().Stats()
+			if st.GlobalTF >= last && st.GlobalTP >= last && ls.DurableRecords <= perRound {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: global T_F %d, T_P %d, %d of %d log records retained; want T_P at T_F >= %d and at most %d retained",
+					round, st.GlobalTF, st.GlobalTP, ls.DurableRecords, ls.TotalAppends, last, perRound)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := c.Stats()
-		if st.GlobalTF >= last && st.GlobalTP >= last && st.LogTruncated > 0 {
-			return
+}
+
+// failureRecorder captures, when the master reports a server failure, the
+// write-sets committed after the failed server's frozen T_P(s) that touch
+// one of its regions: the at-risk set the recovery manager must replay.
+type failureRecorder struct {
+	c      *Cluster
+	mu     sync.Mutex
+	tp     kv.Timestamp
+	atRisk int // (write-set, region) pairs, as replay counts them
+	err    error
+}
+
+func (f *failureRecorder) OnServerFailure(_ string, tp kv.Timestamp, regions []kvstore.RegionInfo) {
+	records, err := f.c.Log().After(tp)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.tp, f.err = tp, err
+	for _, ws := range records {
+		for _, r := range regions {
+			for _, u := range ws.Updates {
+				if u.Table == r.Table && r.Range.Contains(u.Row) {
+					f.atRisk++
+					break
+				}
+			}
 		}
+	}
+}
+
+// TestRemoteKillReplaysOnlyAtRiskWriteSets: writers commit across two
+// region-server processes, stop, and one process is killed at once. The
+// recovery manager must replay exactly the write-sets committed after the
+// dead server's last reported T_P(s) (and no later than the last commit)
+// into its regions — over the wire, as in process.
+func TestRemoteKillReplaysOnlyAtRiskWriteSets(t *testing.T) {
+	c, addr, nodes := startRemoteCluster(t, 2)
+	if err := c.CreateTable("t", []kv.Key{"row-20"}); err != nil {
+		t.Fatal(err)
+	}
+	rec := &failureRecorder{c: c}
+	c.Master().AddFailureListener(rec)
+	// Keep the whole log, so a replay that starts anywhere but T_P(s)
+	// shows. Truncated, the log starts at the global T_P, often the
+	// killed server's own T_P(s).
+	pin := c.Log().Pin(0)
+	defer pin.Release()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		cl := connectRemoteClient(t, addr, fmt.Sprintf("writer-%d", w))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := cl.Update(ctx, func(txn *Txn) error {
+					for _, row := range []int{i % 20, 20 + i%20} { // one row per region
+						if err := txn.Put(ctx, "t", kv.Key(fmt.Sprintf("row-%02d", row)), "v", []byte(strconv.Itoa(w))); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil && !errors.Is(err, txmgr.ErrConflict) {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	time.Sleep(time.Second)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	last := c.Log().LastTS()
+	victim := nodes[1]
+	victim.Kill()
+
+	// The master counts a failover once every region is back online.
+	deadline := time.Now().Add(15 * time.Second)
+	for c.Master().FailoverStats().Failovers == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("global T_F %d, T_P %d, %d records truncated; want T_P at T_F >= %d and a truncated log",
-				st.GlobalTF, st.GlobalTP, st.LogTruncated, last)
+			t.Fatal("region recovery did not finish")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	replayed := 0
+	for _, ev := range c.RecoveryManager().Events() {
+		if ev.Kind == "region" && ev.FailedServer == victim.Server().ID() {
+			replayed += ev.WriteSetsReplayed
+		}
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.err != nil {
+		t.Fatal(rec.err)
+	}
+	t.Logf("T_P(s) %d, last commit %d, %d at risk, %d replayed", rec.tp, last, rec.atRisk, replayed)
+	if rec.atRisk == 0 || replayed != rec.atRisk {
+		t.Fatalf("replayed %d write-sets; want the %d (> 0) committed in (T_P(s) %d, last commit %d]",
+			replayed, rec.atRisk, rec.tp, last)
 	}
 }
 

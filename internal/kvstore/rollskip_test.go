@@ -157,3 +157,65 @@ func TestUnlinkInvalidatesBlockCache(t *testing.T) {
 		t.Fatalf("cache after re-read: %d blocks, %d files", n, files)
 	}
 }
+
+// TestRollWALKeepsRecoveringRegionEdits: a region still behind its
+// recovery gate has its split edits and replays only in this server's WAL
+// (journaled, not flushed, not online). A roll inside the gate must flush
+// or carry them before it deletes the old generation; otherwise a crash
+// right after the roll leaves them in no WAL and no store file.
+func TestRollWALKeepsRecoveringRegionEdits(t *testing.T) {
+	ts, srv := newRollStore(t, 1<<20, nil)
+	if err := ts.master.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	regions, err := ts.master.TableRegions("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := regions[0]
+	srv.CloseRegion(info.ID) // reopened below as a recovering region
+
+	split := []WALEntry{{RegionID: info.ID, KVs: []kv.KeyValue{
+		{Cell: kv.Cell{Row: "a", Column: "f", TS: 5}, Value: []byte("split")},
+	}}}
+	gate := make(chan struct{})
+	opened := make(chan error, 1)
+	go func() {
+		opened <- srv.OpenRegion(info, split, func() error { <-gate; return nil })
+	}()
+	for {
+		if _, ok := srv.entryFor(info.ID); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The recovery manager's replay into the recovering region.
+	if err := srv.ApplyWriteSet(writeSet("rm", 6, "t", "b"), 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := srv.RollWAL(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Crash()
+	close(gate)
+	<-opened
+
+	// What the next host would see: the region's store files plus the
+	// dead server's split WAL.
+	r, err := OpenRegion(ts.fs, nil, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ts.master.splitWAL(srv.ID())[info.ID] {
+		r.Apply(e.KVs)
+	}
+	for _, row := range []kv.Key{"a", "b"} {
+		if _, ok, err := r.Get(row, "f", kv.MaxTimestamp); err != nil || !ok {
+			t.Errorf("row %s lost after a roll inside the recovery gate and a crash (found %v, err %v)", row, ok, err)
+		}
+	}
+}

@@ -301,7 +301,7 @@ func (s *RegionServer) flushLoop() {
 		case <-s.stop:
 			return
 		case <-t.C:
-			for _, r := range s.hostedRegions() {
+			for _, r := range s.hostedRegions(false) {
 				if r.MemSize() >= s.cfg.MemstoreFlushBytes {
 					_ = s.flushRegion(r)
 				}
@@ -325,12 +325,14 @@ type regionEntry struct {
 	rep    replState
 }
 
-func (s *RegionServer) hostedRegions() []*Region {
+// hostedRegions returns the online regions, and with includeRecovering
+// also the primary copies still behind their recovery gate.
+func (s *RegionServer) hostedRegions(includeRecovering bool) []*Region {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]*Region, 0, len(s.regions))
 	for _, e := range s.regions {
-		if e.online {
+		if e.online || includeRecovering && e.rep.getRole() != RoleFollower {
 			out = append(out, e.r)
 		}
 	}
@@ -607,14 +609,12 @@ func (s *RegionServer) installRegion(r *Region, info RegionInfo, recoveredEdits 
 	for _, e := range recoveredEdits {
 		r.Apply(e.KVs)
 	}
-	if err := s.journalRecoveredEdits(recoveredEdits); err != nil {
-		return err
-	}
 	// Recovery-manager gate: transactional recovery must complete before
 	// the region goes online (paper §3.2), otherwise clients could read
 	// partially recovered write-sets. The region is published in the
-	// recovering state first so the recovery client can replay into it.
-	entry := &regionEntry{r: r, online: preOnline == nil}
+	// recovering state first so the recovery client can replay into it,
+	// and before its edits are journaled so a WAL roll carries them.
+	entry := &regionEntry{r: r}
 	s.mu.Lock()
 	if s.crashed {
 		s.mu.Unlock()
@@ -622,14 +622,17 @@ func (s *RegionServer) installRegion(r *Region, info RegionInfo, recoveredEdits 
 	}
 	s.regions[info.ID] = entry
 	s.mu.Unlock()
-	if preOnline == nil {
-		return nil
+	err := s.journalRecoveredEdits(recoveredEdits)
+	if err == nil && preOnline != nil {
+		if err = preOnline(); err != nil {
+			err = fmt.Errorf("region %s recovery gate: %w", info.ID, err)
+		}
 	}
-	if err := preOnline(); err != nil {
+	if err != nil {
 		s.mu.Lock()
 		delete(s.regions, info.ID)
 		s.mu.Unlock()
-		return fmt.Errorf("region %s recovery gate: %w", info.ID, err)
+		return err
 	}
 	s.mu.Lock()
 	if s.crashed {
@@ -692,15 +695,20 @@ func (s *RegionServer) OpenRegionRecovering(info RegionInfo, files []string, has
 	for _, e := range recoveredEdits {
 		r.Apply(e.KVs)
 	}
-	if err := s.journalRecoveredEdits(recoveredEdits); err != nil {
-		return err
-	}
+	// Published before the journal write, as in installRegion.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.crashed {
+		s.mu.Unlock()
 		return ErrServerStopped
 	}
-	s.regions[info.ID] = &regionEntry{r: r, online: false}
+	s.regions[info.ID] = &regionEntry{r: r}
+	s.mu.Unlock()
+	if err := s.journalRecoveredEdits(recoveredEdits); err != nil {
+		s.mu.Lock()
+		delete(s.regions, info.ID)
+		s.mu.Unlock()
+		return err
+	}
 	return nil
 }
 
@@ -771,7 +779,7 @@ func (s *RegionServer) CloseAndFlushRegion(regionID string) ([]string, error) {
 
 // FlushAll flushes every hosted region's memstore (test/benchmark helper).
 func (s *RegionServer) FlushAll() error {
-	for _, r := range s.hostedRegions() {
+	for _, r := range s.hostedRegions(false) {
 		if err := s.flushRegion(r); err != nil {
 			return err
 		}
@@ -867,8 +875,10 @@ func (s *RegionServer) RollWAL() error {
 	// mostly-idle ones' few edits into the fresh generation instead (a
 	// skewed workload would otherwise pay a tiny store file per idle
 	// region per roll, compacted away immediately — pure churn).
+	// Recovering regions too: their split edits and replays are in the old
+	// generations and, until they go online and flush, nowhere else.
 	carried := false
-	for _, r := range s.hostedRegions() {
+	for _, r := range s.hostedRegions(true) {
 		dirty, small := r.dirtyForRoll(s.cfg.RollFlushMinBytes)
 		if !small {
 			if err := s.flushRegion(r); err != nil {
@@ -937,7 +947,7 @@ func (s *RegionServer) compactionHorizon() kv.Timestamp {
 // means the regions whose reads benefit most from a smaller file fan-out
 // (and from v1 files gaining bloom filters) are rewritten before cold ones.
 func (s *RegionServer) CompactAll() error {
-	regions := s.hostedRegions()
+	regions := s.hostedRegions(false)
 	sort.SliceStable(regions, func(i, j int) bool {
 		return regionHotness(regions[i]) > regionHotness(regions[j])
 	})

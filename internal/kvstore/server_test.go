@@ -191,7 +191,7 @@ func TestAutomaticCompaction(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		regions := srv.hostedRegions()
+		regions := srv.hostedRegions(false)
 		if len(regions) == 1 && regions[0].Files() <= 4 && regions[0].Files() >= 1 {
 			break
 		}

@@ -108,7 +108,7 @@ func TestSplitThenCompactLocalizesDaughters(t *testing.T) {
 	// files are dropped.
 	for _, row := range []string{"row000", "row020"} {
 		host := hostFor(t, ts, "t", string(row))
-		for _, r := range host.hostedRegions() {
+		for _, r := range host.hostedRegions(false) {
 			if err := r.Compact(0, 0); err != nil {
 				t.Fatalf("compact %s: %v", r.Info.ID, err)
 			}
