@@ -89,6 +89,7 @@ func (c *Cluster) NewClient(id string) (*Client, error) {
 			QueueAlertThreshold: c.cfg.QueueAlertThreshold,
 			OnQueueAlert:        c.onQueueAlert,
 			OnFatal:             func(error) { cl.Crash() },
+			LastIssued:          c.tm.LastIssued,
 		}, c.svc)
 		if err := cl.agent.Start(); err != nil {
 			cancel()

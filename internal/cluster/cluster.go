@@ -876,9 +876,6 @@ func (c *Cluster) Network() *netsim.Network { return c.net }
 // Master returns the store master.
 func (c *Cluster) Master() *kvstore.Master { return c.master }
 
-// Coord returns the coordination service.
-func (c *Cluster) Coord() *coord.Service { return c.svc }
-
 // WaitFlushed blocks until every commit at or below ts has been flushed to
 // the store (the TM's visibility frontier reaches ts) or the timeout
 // elapses.

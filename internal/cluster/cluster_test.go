@@ -418,6 +418,44 @@ func TestThresholdsReachSteadyState(t *testing.T) {
 	}
 }
 
+// TestIdleClientDoesNotHoldTruncation: a registered client that never
+// commits must not pin the global T_F at its registration value. Its empty
+// flush queue lets T_F(c) follow the transaction manager, so T_F and T_P
+// reach the writer's last commit and the log is truncated.
+func TestIdleClientDoesNotHoldTruncation(t *testing.T) {
+	c := newCluster(t, fastConfig(2))
+	if err := c.CreateTable("t", []kv.Key{"m"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.NewClient("idle"); err != nil {
+		t.Fatal(err)
+	}
+	w, _ := c.NewClient("writer")
+	const n = 200
+	var last kv.Timestamp
+	for i := 0; i < n; i++ {
+		txn := begin(t, w)
+		_ = txn.Put(bgctx, "t", kv.Key(fmt.Sprintf("r%03d", i)), "f", []byte("v"))
+		cts, err := txn.Commit(bgctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = cts
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := c.Stats()
+		if st.GlobalTF >= last && st.GlobalTP >= last && st.LogTruncated > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d commits (last %d): T_F %d, T_P %d, %d records truncated",
+				n, last, st.GlobalTF, st.GlobalTP, st.LogTruncated)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestChaosRandomCrashesNoLostCommits runs concurrent clients while
 // crashing a server mid-run, then verifies every acknowledged commit is
 // readable — the paper's overall durability claim under load.

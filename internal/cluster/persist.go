@@ -157,9 +157,6 @@ func (c *Cluster) harvestWALEdits() map[string][]kvstore.WALEntry {
 		}
 		_ = c.fs.Delete(path)
 	}
-	for _, path := range c.fs.List("/recovered/") {
-		_ = c.fs.Delete(path) // split-output copies; superseded by the above
-	}
 	return edits
 }
 

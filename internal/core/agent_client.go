@@ -28,6 +28,9 @@ type ClientAgentConfig struct {
 	OnFatal func(error)
 	// OnQueueAlert is invoked when the flush queue exceeds the threshold.
 	OnQueueAlert func(clientID string, queueLen int)
+	// LastIssued reads the transaction manager's last issued timestamp,
+	// which an idle client's T_F(c) follows (ClientTracker.Advance).
+	LastIssued func() kv.Timestamp
 }
 
 func (c ClientAgentConfig) withDefaults() ClientAgentConfig {
@@ -65,11 +68,6 @@ func NewClientAgent(cfg ClientAgentConfig, svc *coord.Service) *ClientAgent {
 		stop: make(chan struct{}),
 	}
 }
-
-// Tracker exposes the client tracker (the transactional client feeds
-// OnCommitted/OnFlushed through the agent's methods instead; tests use
-// this).
-func (a *ClientAgent) Tracker() *ClientTracker { return a.tracker }
 
 // sessionID returns the agent's coordination-session ID.
 func (a *ClientAgent) sessionID() string { return clientSessionPrefix + a.cfg.ClientID }
@@ -136,7 +134,7 @@ func (a *ClientAgent) loop() {
 
 // beat advances T_F(c) and sends one heartbeat.
 func (a *ClientAgent) beat() error {
-	tf := a.tracker.Advance()
+	tf := a.tracker.Advance(a.cfg.LastIssued)
 	return a.svc.Heartbeat(a.sessionID(), encodeTS(tf))
 }
 

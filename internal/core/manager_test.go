@@ -386,9 +386,10 @@ func TestGlobalTFIsMinimumAcrossClients(t *testing.T) {
 		t.Fatalf("global TF = %d, must be held at 0 by the lagging client", tf)
 	}
 	// Lagging client flushes: the global minimum moves up to ITS last
-	// flushed commit (1). An idle client conservatively pins the global
-	// T_F at its own frontier — the price the paper pays for the minimum
-	// rule; only a clean unregister releases it fully.
+	// flushed commit (1). These agents have no LastIssued source, so an
+	// idle client stays at its own frontier and only a clean unregister
+	// releases it; a cluster client's agent follows the transaction
+	// manager instead (TestIdleClientDoesNotHoldTruncation).
 	h.flush(t, lag, wsL)
 	waitFor(t, 2*time.Second, "TF catch-up to the lagging client's frontier", func() bool {
 		return h.rm.TF() >= 1

@@ -51,7 +51,17 @@ func (t *ClientTracker) OnFlushed(ts kv.Timestamp) {
 // heartbeat"): while the earliest tracked commit has completed its flush,
 // dequeue both trackers and move T_F(c) forward. It returns the resulting
 // T_F(c).
-func (t *ClientTracker) Advance() kv.Timestamp {
+//
+// lastIssued, if set, reads the transaction manager's last issued timestamp
+// L; when FQ is empty afterwards, T_F(c) moves up to L, so an idle client
+// does not pin the global T_F and log truncation. The manager enters each
+// commit in FQ under the lock L is read under, so with L read before FQ is
+// inspected, an empty FQ means every own commit at or below L is flushed.
+func (t *ClientTracker) Advance(lastIssued func() kv.Timestamp) kv.Timestamp {
+	var issued kv.Timestamp
+	if lastIssued != nil {
+		issued = lastIssued()
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for t.fq.len() > 0 && t.fqFlushed.len() > 0 {
@@ -67,6 +77,9 @@ func (t *ClientTracker) Advance() kv.Timestamp {
 		}
 		t.tf = t.fq.pop()
 		t.fqFlushed.pop()
+	}
+	if t.fq.len() == 0 && issued > t.tf {
+		t.tf = issued
 	}
 	return t.tf
 }

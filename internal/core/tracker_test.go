@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"txkv/internal/kv"
 )
@@ -14,18 +15,18 @@ func TestClientTrackerInOrderFlushes(t *testing.T) {
 	for ts := kv.Timestamp(1); ts <= 5; ts++ {
 		tr.OnCommitted(ts)
 	}
-	if tf := tr.Advance(); tf != 0 {
+	if tf := tr.Advance(nil); tf != 0 {
 		t.Fatalf("TF advanced to %d with nothing flushed", tf)
 	}
 	tr.OnFlushed(1)
 	tr.OnFlushed(2)
-	if tf := tr.Advance(); tf != 2 {
+	if tf := tr.Advance(nil); tf != 2 {
 		t.Fatalf("TF = %d, want 2", tf)
 	}
 	tr.OnFlushed(3)
 	tr.OnFlushed(4)
 	tr.OnFlushed(5)
-	if tf := tr.Advance(); tf != 5 {
+	if tf := tr.Advance(nil); tf != 5 {
 		t.Fatalf("TF = %d, want 5", tf)
 	}
 	if tr.PendingFlushes() != 0 {
@@ -41,7 +42,7 @@ func TestClientTrackerOutOfOrderFlush(t *testing.T) {
 	tr.OnCommitted(10)
 	tr.OnCommitted(11)
 	tr.OnFlushed(11) // T_j flushed before T_i
-	if tf := tr.Advance(); tf != 0 {
+	if tf := tr.Advance(nil); tf != 0 {
 		t.Fatalf("TF = %d, must hold at 0 while 10 is unflushed", tf)
 	}
 	if tr.PendingFlushes() != 2 {
@@ -49,7 +50,7 @@ func TestClientTrackerOutOfOrderFlush(t *testing.T) {
 	}
 	tr.OnFlushed(10)
 	// Now BOTH advance in one step, in commit order.
-	if tf := tr.Advance(); tf != 11 {
+	if tf := tr.Advance(nil); tf != 11 {
 		t.Fatalf("TF = %d, want 11", tf)
 	}
 }
@@ -59,7 +60,7 @@ func TestClientTrackerInitialValue(t *testing.T) {
 	if tr.TF() != 42 {
 		t.Fatalf("initial TF = %d", tr.TF())
 	}
-	if tf := tr.Advance(); tf != 42 {
+	if tf := tr.Advance(nil); tf != 42 {
 		t.Fatalf("idle advance moved TF to %d", tf)
 	}
 }
@@ -97,7 +98,7 @@ func TestClientTrackerQuickInvariant(t *testing.T) {
 				flushed[ts] = true
 				tr.OnFlushed(ts)
 			}
-			tf := tr.Advance()
+			tf := tr.Advance(nil)
 			if tf < lastTF {
 				return false // regression
 			}
@@ -155,18 +156,136 @@ func TestClientTrackerConcurrent(t *testing.T) {
 	}()
 	var last kv.Timestamp
 	for {
-		tf := tr.Advance()
+		tf := tr.Advance(nil)
 		if tf < last {
 			t.Fatalf("TF regressed %d -> %d", last, tf)
 		}
 		last = tf
 		select {
 		case <-done:
-			if tf := tr.Advance(); tf != n {
+			if tf := tr.Advance(nil); tf != n {
 				t.Fatalf("final TF = %d, want %d", tf, n)
 			}
 			return
 		default:
+		}
+	}
+}
+
+// TestClientTrackerIdleAdvance: with an empty FQ, T_F(c) follows the
+// manager's last issued timestamp; with a commit pending it does not.
+func TestClientTrackerIdleAdvance(t *testing.T) {
+	tr := NewClientTracker(3)
+	issued := kv.Timestamp(9)
+	last := func() kv.Timestamp { return issued }
+	if tf := tr.Advance(last); tf != 9 {
+		t.Fatalf("idle TF = %d, want 9", tf)
+	}
+	tr.OnCommitted(10)
+	issued = 12
+	if tf := tr.Advance(last); tf != 9 {
+		t.Fatalf("TF = %d passed unflushed commit 10", tf)
+	}
+	tr.OnFlushed(10)
+	if tf := tr.Advance(last); tf != 12 {
+		t.Fatalf("TF = %d, want 12", tf)
+	}
+}
+
+// TestClientTrackerIdleAdvanceRace races the idle rule against commits the
+// way the transaction manager issues them: each commit takes a timestamp
+// and enters FQ under one sequencing lock, which LastIssued also takes;
+// some timestamps go to other clients; flushes complete late and out of
+// order. After every beat, each of this client's commits at or below T_F(c)
+// must have recorded its flush. Reading L after inspecting FQ, or moving to
+// L with commits pending, breaks this.
+func TestClientTrackerIdleAdvanceRace(t *testing.T) {
+	tr := NewClientTracker(0)
+	var (
+		seqMu  sync.Mutex // the manager's sequencing lock
+		issued kv.Timestamp
+		ours   = map[kv.Timestamp]bool{} // guarded by seqMu
+
+		flushMu sync.Mutex
+		flushed = map[kv.Timestamp]bool{}
+	)
+	lastIssued := func() kv.Timestamp {
+		seqMu.Lock()
+		defer seqMu.Unlock()
+		return issued
+	}
+	const committers, perCommitter = 4, 1000
+	var commits, flushes sync.WaitGroup
+	for g := 0; g < committers; g++ {
+		commits.Add(1)
+		go func(g int) {
+			defer commits.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perCommitter; i++ {
+				mine := rng.Intn(4) != 0
+				seqMu.Lock()
+				issued++
+				cts := issued
+				if mine {
+					ours[cts] = true
+					tr.OnCommitted(cts)
+				}
+				seqMu.Unlock()
+				if !mine {
+					continue
+				}
+				delay := time.Duration(rng.Intn(300)) * time.Microsecond
+				flushes.Add(1)
+				go func() {
+					defer flushes.Done()
+					time.Sleep(delay)
+					flushMu.Lock()
+					flushed[cts] = true
+					flushMu.Unlock()
+					tr.OnFlushed(cts)
+				}()
+				if rng.Intn(8) == 0 {
+					time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		commits.Wait()
+		flushes.Wait()
+		close(done)
+	}()
+
+	var checked kv.Timestamp // every own commit <= checked is verified
+	beat := func() {
+		tf := tr.Advance(lastIssued)
+		if tf < checked {
+			t.Fatalf("TF regressed %d -> %d", checked, tf)
+		}
+		seqMu.Lock()
+		flushMu.Lock()
+		for ts := checked + 1; ts <= tf; ts++ {
+			if ours[ts] && !flushed[ts] {
+				flushMu.Unlock()
+				seqMu.Unlock()
+				t.Fatalf("TF(c) = %d reached commit %d before its flush", tf, ts)
+			}
+		}
+		flushMu.Unlock()
+		seqMu.Unlock()
+		checked = tf
+	}
+	for {
+		select {
+		case <-done:
+			beat()
+			if want := lastIssued(); checked != want {
+				t.Fatalf("final TF = %d, want %d", checked, want)
+			}
+			return
+		default:
+			beat()
 		}
 	}
 }
@@ -180,15 +299,15 @@ func TestClientTrackerDuplicateFlushBlocks(t *testing.T) {
 	tr.OnCommitted(2)
 	tr.OnFlushed(1)
 	tr.OnFlushed(1) // duplicate
-	if tf := tr.Advance(); tf != 1 {
+	if tf := tr.Advance(nil); tf != 1 {
 		t.Fatalf("TF = %d, want 1", tf)
 	}
 	// The stray duplicate must not let TF skip txn 2.
-	if tf := tr.Advance(); tf != 1 {
+	if tf := tr.Advance(nil); tf != 1 {
 		t.Fatalf("TF advanced to %d past unflushed txn 2", tf)
 	}
 	tr.OnFlushed(2)
-	if tf := tr.Advance(); tf != 2 {
+	if tf := tr.Advance(nil); tf != 2 {
 		t.Fatalf("TF = %d, want 2", tf)
 	}
 }

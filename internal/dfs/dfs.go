@@ -212,13 +212,6 @@ func (fs *FS) RestartDataNode(id string) error {
 	return nil
 }
 
-// DataNodeIDs returns the IDs of all data nodes.
-func (fs *FS) DataNodeIDs() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return append([]string(nil), fs.nodeIDs...)
-}
-
 // Stats returns a snapshot of filesystem counters.
 func (fs *FS) Stats() Stats {
 	fs.mu.Lock()

@@ -517,17 +517,26 @@ func (m *Master) checkLoop() {
 
 func (m *Master) checkOnce() {
 	now := time.Now()
+	// Declare every silent server dead, and take its regions offline,
+	// before recovering any of them: no region may be offered to a server
+	// that is dead but not yet declared. Then recover them in parallel.
+	var recoveries []func()
 	m.mu.Lock()
-	var failed []string
 	for id, rec := range m.servers {
 		if rec.alive && now.Sub(rec.lastHB) > m.cfg.HeartbeatTimeout {
-			failed = append(failed, id)
+			recoveries = append(recoveries, m.failLocked(id, rec))
 		}
 	}
 	m.mu.Unlock()
-	for _, id := range failed {
-		m.handleServerFailure(id)
+	var wg sync.WaitGroup
+	for _, run := range recoveries {
+		wg.Add(1)
+		go func(run func()) {
+			defer wg.Done()
+			run()
+		}(run)
 	}
+	wg.Wait()
 	m.renewLeases()
 }
 
@@ -535,20 +544,22 @@ func (m *Master) checkOnce() {
 // injection entry point; identical to heartbeat-timeout detection but
 // immediate).
 func (m *Master) FailServer(serverID string) {
-	m.handleServerFailure(serverID)
+	var recovery func()
+	m.mu.Lock()
+	if rec, ok := m.servers[serverID]; ok && rec.alive {
+		recovery = m.failLocked(serverID, rec)
+	}
+	m.mu.Unlock()
+	if recovery != nil {
+		recovery()
+	}
 }
 
-func (m *Master) handleServerFailure(serverID string) {
+// failLocked declares a live server dead and takes its regions offline. The
+// returned function brings them back online.
+func (m *Master) failLocked(serverID string, rec *serverRec) func() {
 	start := time.Now()
-	m.mu.Lock()
-	rec, ok := m.servers[serverID]
-	if !ok || !rec.alive {
-		m.mu.Unlock()
-		return
-	}
 	rec.alive = false
-	tp := rec.tp
-	// Collect affected regions and take them offline.
 	var affected []RegionInfo
 	for _, regions := range m.tables {
 		for _, info := range regions {
@@ -559,6 +570,13 @@ func (m *Master) handleServerFailure(serverID string) {
 			}
 		}
 	}
+	tp := rec.tp
+	return func() { m.recoverServer(serverID, tp, affected, start) }
+}
+
+// recoverServer brings every region of a failed server back online.
+func (m *Master) recoverServer(serverID string, tp kv.Timestamp, affected []RegionInfo, start time.Time) {
+	m.mu.Lock()
 	listeners := append([]ServerFailureListener(nil), m.listeners...)
 	gate := m.gate
 	m.mu.Unlock()
@@ -635,9 +653,8 @@ func (m *Master) handleServerFailure(serverID string) {
 }
 
 // splitWAL reads the durable WAL of a dead server and groups its entries by
-// region — HBase's log-splitting step. The grouped edits are also persisted
-// as per-region "recovered edits" files, as HBase does, so the split output
-// itself survives master hiccups.
+// region — HBase's log-splitting step. The output is kept only in memory:
+// the dead server's WAL is not deleted, so a failed split can be redone.
 func (m *Master) splitWAL(serverID string) map[string][]WALEntry {
 	out := make(map[string][]WALEntry)
 	// A region's recovered edits are journaled again by the server that
@@ -676,18 +693,6 @@ func (m *Master) splitWAL(serverID string) map[string][]WALEntry {
 				out[e.RegionID] = append(out[e.RegionID], e)
 			}
 		}
-	}
-	for regionID, entries := range out {
-		path := fmt.Sprintf("/recovered/%s/%s.edits", serverID, regionID)
-		w, err := wal.Create(m.fs, path)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			_ = w.Append(EncodeWALEntry(e))
-		}
-		_ = w.Sync()
-		_ = w.Close()
 	}
 	return out
 }

@@ -200,14 +200,6 @@ func (h *Hub) Watch(filter Filter, from kv.Timestamp, owner string) (*Stream, er
 	return s, nil
 }
 
-// LastDurable returns the highest commit timestamp the hub has fanned out
-// (or inherited from the log at startup).
-func (h *Hub) LastDurable() kv.Timestamp {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lastDurable
-}
-
 // Stats snapshots the hub counters.
 func (h *Hub) Stats() Stats {
 	h.mu.Lock()
