@@ -89,8 +89,7 @@ func (c *Cluster) NewClient(id string) (*Client, error) {
 			QueueAlertThreshold: c.cfg.QueueAlertThreshold,
 			OnQueueAlert:        c.onQueueAlert,
 			OnFatal:             func(error) { cl.Crash() },
-			LastIssued:          c.tm.LastIssued,
-		}, c.svc)
+		}, c.svc, c.tm.LastIssued)
 		if err := cl.agent.Start(); err != nil {
 			cancel()
 			return nil, err

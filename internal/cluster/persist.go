@@ -157,6 +157,9 @@ func (c *Cluster) harvestWALEdits() map[string][]kvstore.WALEntry {
 		}
 		_ = c.fs.Delete(path)
 	}
+	for _, path := range c.fs.List("/recovered/") {
+		_ = c.fs.Delete(path) // split-output copies written by earlier versions
+	}
 	return edits
 }
 

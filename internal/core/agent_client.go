@@ -28,9 +28,6 @@ type ClientAgentConfig struct {
 	OnFatal func(error)
 	// OnQueueAlert is invoked when the flush queue exceeds the threshold.
 	OnQueueAlert func(clientID string, queueLen int)
-	// LastIssued reads the transaction manager's last issued timestamp,
-	// which an idle client's T_F(c) follows (ClientTracker.Advance).
-	LastIssued func() kv.Timestamp
 }
 
 func (c ClientAgentConfig) withDefaults() ClientAgentConfig {
@@ -48,9 +45,10 @@ func (c ClientAgentConfig) withDefaults() ClientAgentConfig {
 // heartbeats, advances the threshold before each beat, and unregisters
 // cleanly on Stop (so the global T_F is not blocked by departed clients).
 type ClientAgent struct {
-	cfg     ClientAgentConfig
-	svc     *coord.Service
-	tracker *ClientTracker
+	cfg        ClientAgentConfig
+	svc        *coord.Service
+	lastIssued func() kv.Timestamp
+	tracker    *ClientTracker
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -61,11 +59,14 @@ type ClientAgent struct {
 }
 
 // NewClientAgent creates an agent; Start registers and begins heartbeats.
-func NewClientAgent(cfg ClientAgentConfig, svc *coord.Service) *ClientAgent {
+// lastIssued reads the transaction manager's last issued timestamp, which
+// an idle client's T_F(c) follows (ClientTracker.Advance).
+func NewClientAgent(cfg ClientAgentConfig, svc *coord.Service, lastIssued func() kv.Timestamp) *ClientAgent {
 	return &ClientAgent{
-		cfg:  cfg.withDefaults(),
-		svc:  svc,
-		stop: make(chan struct{}),
+		cfg:        cfg.withDefaults(),
+		svc:        svc,
+		lastIssued: lastIssued,
+		stop:       make(chan struct{}),
 	}
 }
 
@@ -134,7 +135,7 @@ func (a *ClientAgent) loop() {
 
 // beat advances T_F(c) and sends one heartbeat.
 func (a *ClientAgent) beat() error {
-	tf := a.tracker.Advance(a.cfg.LastIssued)
+	tf := a.tracker.Advance(a.lastIssued)
 	return a.svc.Heartbeat(a.sessionID(), encodeTS(tf))
 }
 

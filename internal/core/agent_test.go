@@ -22,7 +22,7 @@ func TestClientAgentHeartbeatCarriesTF(t *testing.T) {
 	agent := NewClientAgent(ClientAgentConfig{
 		ClientID:          "c1",
 		HeartbeatInterval: 15 * time.Millisecond,
-	}, svc)
+	}, svc, noIssue)
 	if err := agent.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestClientAgentHeartbeatCarriesTF(t *testing.T) {
 func TestClientAgentInitializesFromGlobalTF(t *testing.T) {
 	svc := newCoord(t)
 	svc.Put(KeyGlobalTF, encodeTS(77))
-	agent := NewClientAgent(ClientAgentConfig{ClientID: "c2", HeartbeatInterval: time.Hour}, svc)
+	agent := NewClientAgent(ClientAgentConfig{ClientID: "c2", HeartbeatInterval: time.Hour}, svc, noIssue)
 	if err := agent.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +65,12 @@ func TestClientAgentInitializesFromGlobalTF(t *testing.T) {
 
 func TestClientAgentDuplicateRegistration(t *testing.T) {
 	svc := newCoord(t)
-	a1 := NewClientAgent(ClientAgentConfig{ClientID: "dup", HeartbeatInterval: time.Hour}, svc)
+	a1 := NewClientAgent(ClientAgentConfig{ClientID: "dup", HeartbeatInterval: time.Hour}, svc, noIssue)
 	if err := a1.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer a1.Crash()
-	a2 := NewClientAgent(ClientAgentConfig{ClientID: "dup", HeartbeatInterval: time.Hour}, svc)
+	a2 := NewClientAgent(ClientAgentConfig{ClientID: "dup", HeartbeatInterval: time.Hour}, svc, noIssue)
 	if err := a2.Start(); err == nil {
 		t.Fatal("duplicate session accepted")
 	}
@@ -84,7 +84,7 @@ func TestClientAgentQueueAlert(t *testing.T) {
 		HeartbeatInterval:   10 * time.Millisecond,
 		QueueAlertThreshold: 2,
 		OnQueueAlert:        func(string, int) { alerts.Add(1) },
-	}, svc)
+	}, svc, noIssue)
 	if err := agent.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAgentsCleanShutdownUnregisters(t *testing.T) {
 	// heartbeat), so two client agents stand in for the pair.
 	var agents []*ClientAgent
 	for _, id := range []string{"cx", "cy"} {
-		a := NewClientAgent(ClientAgentConfig{ClientID: id, HeartbeatInterval: 20 * time.Millisecond}, svc)
+		a := NewClientAgent(ClientAgentConfig{ClientID: id, HeartbeatInterval: 20 * time.Millisecond}, svc, noIssue)
 		if err := a.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestManyClientAgents(t *testing.T) {
 		agents[i] = NewClientAgent(ClientAgentConfig{
 			ClientID:          fmt.Sprintf("many-%d", i),
 			HeartbeatInterval: 10 * time.Millisecond,
-		}, svc)
+		}, svc, noIssue)
 		if err := agents[i].Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func TestQueueAlertFiresEndToEnd(t *testing.T) {
 		HeartbeatInterval:   15 * time.Millisecond,
 		QueueAlertThreshold: 3,
 		OnQueueAlert:        func(id string, n int) { alertCh <- id },
-	}, h.svc)
+	}, h.svc, h.lastIssued)
 	if err := agent.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +27,19 @@ type harness struct {
 	log    *txlog.Log
 	rm     *Manager
 	srvs   []*kvstore.RegionServer
+
+	// seqMu stands in for the transaction manager's sequencing lock:
+	// commit records a commit timestamp with its client under it, and
+	// lastIssued reads the highest one under it.
+	seqMu  sync.Mutex
+	issued kv.Timestamp
+}
+
+// lastIssued is the client agents' timestamp source.
+func (h *harness) lastIssued() kv.Timestamp {
+	h.seqMu.Lock()
+	defer h.seqMu.Unlock()
+	return h.issued
 }
 
 type harnessOpts struct {
@@ -101,7 +115,7 @@ func (h *harness) newClient(t *testing.T, id string, hb time.Duration) *testClie
 		ClientID:          id,
 		HeartbeatInterval: hb,
 		SessionTTL:        4 * hb,
-	}, h.svc)
+	}, h.svc, h.lastIssued)
 	if err := agent.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +131,11 @@ func (h *harness) commit(t *testing.T, c *testClient, ws kv.WriteSet) {
 	t.Helper()
 	if err := h.log.Append(ws); err != nil {
 		t.Fatal(err)
+	}
+	h.seqMu.Lock()
+	defer h.seqMu.Unlock()
+	if ws.CommitTS > h.issued {
+		h.issued = ws.CommitTS
 	}
 	c.agent.OnCommitted(ws.CommitTS)
 }
@@ -385,11 +404,9 @@ func TestGlobalTFIsMinimumAcrossClients(t *testing.T) {
 	if tf := h.rm.TF(); tf != 0 {
 		t.Fatalf("global TF = %d, must be held at 0 by the lagging client", tf)
 	}
-	// Lagging client flushes: the global minimum moves up to ITS last
-	// flushed commit (1). These agents have no LastIssued source, so an
-	// idle client stays at its own frontier and only a clean unregister
-	// releases it; a cluster client's agent follows the transaction
-	// manager instead (TestIdleClientDoesNotHoldTruncation).
+	// Lagging client flushes: with nothing of its own left in flight, it
+	// follows the last issued timestamp (6), and the global minimum
+	// moves up past its commit.
 	h.flush(t, lag, wsL)
 	waitFor(t, 2*time.Second, "TF catch-up to the lagging client's frontier", func() bool {
 		return h.rm.TF() >= 1
@@ -643,7 +660,7 @@ func TestClientAgentSelfTerminatesOnPartition(t *testing.T) {
 		HeartbeatInterval: 20 * time.Millisecond,
 		SessionTTL:        60 * time.Millisecond,
 		OnFatal:           func(err error) { fatal <- err },
-	}, h.svc)
+	}, h.svc, h.lastIssued)
 	if err := agent.Start(); err != nil {
 		t.Fatal(err)
 	}

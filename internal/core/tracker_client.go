@@ -52,16 +52,13 @@ func (t *ClientTracker) OnFlushed(ts kv.Timestamp) {
 // dequeue both trackers and move T_F(c) forward. It returns the resulting
 // T_F(c).
 //
-// lastIssued, if set, reads the transaction manager's last issued timestamp
-// L; when FQ is empty afterwards, T_F(c) moves up to L, so an idle client
-// does not pin the global T_F and log truncation. The manager enters each
-// commit in FQ under the lock L is read under, so with L read before FQ is
-// inspected, an empty FQ means every own commit at or below L is flushed.
+// lastIssued reads the transaction manager's last issued timestamp L; when
+// FQ is empty afterwards, T_F(c) moves up to L, so an idle client does not
+// pin the global T_F and log truncation. The manager enters each commit in
+// FQ under the lock L is read under, so with L read before FQ is inspected,
+// an empty FQ means every own commit at or below L is flushed.
 func (t *ClientTracker) Advance(lastIssued func() kv.Timestamp) kv.Timestamp {
-	var issued kv.Timestamp
-	if lastIssued != nil {
-		issued = lastIssued()
-	}
+	issued := lastIssued()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for t.fq.len() > 0 && t.fqFlushed.len() > 0 {

@@ -10,23 +10,27 @@ import (
 	"txkv/internal/kv"
 )
 
+// noIssue is a timestamp source that reports nothing issued, which leaves
+// T_F(c) to Alg. 1's queue rule alone.
+func noIssue() kv.Timestamp { return 0 }
+
 func TestClientTrackerInOrderFlushes(t *testing.T) {
 	tr := NewClientTracker(0)
 	for ts := kv.Timestamp(1); ts <= 5; ts++ {
 		tr.OnCommitted(ts)
 	}
-	if tf := tr.Advance(nil); tf != 0 {
+	if tf := tr.Advance(noIssue); tf != 0 {
 		t.Fatalf("TF advanced to %d with nothing flushed", tf)
 	}
 	tr.OnFlushed(1)
 	tr.OnFlushed(2)
-	if tf := tr.Advance(nil); tf != 2 {
+	if tf := tr.Advance(noIssue); tf != 2 {
 		t.Fatalf("TF = %d, want 2", tf)
 	}
 	tr.OnFlushed(3)
 	tr.OnFlushed(4)
 	tr.OnFlushed(5)
-	if tf := tr.Advance(nil); tf != 5 {
+	if tf := tr.Advance(noIssue); tf != 5 {
 		t.Fatalf("TF = %d, want 5", tf)
 	}
 	if tr.PendingFlushes() != 0 {
@@ -42,7 +46,7 @@ func TestClientTrackerOutOfOrderFlush(t *testing.T) {
 	tr.OnCommitted(10)
 	tr.OnCommitted(11)
 	tr.OnFlushed(11) // T_j flushed before T_i
-	if tf := tr.Advance(nil); tf != 0 {
+	if tf := tr.Advance(noIssue); tf != 0 {
 		t.Fatalf("TF = %d, must hold at 0 while 10 is unflushed", tf)
 	}
 	if tr.PendingFlushes() != 2 {
@@ -50,7 +54,7 @@ func TestClientTrackerOutOfOrderFlush(t *testing.T) {
 	}
 	tr.OnFlushed(10)
 	// Now BOTH advance in one step, in commit order.
-	if tf := tr.Advance(nil); tf != 11 {
+	if tf := tr.Advance(noIssue); tf != 11 {
 		t.Fatalf("TF = %d, want 11", tf)
 	}
 }
@@ -60,7 +64,7 @@ func TestClientTrackerInitialValue(t *testing.T) {
 	if tr.TF() != 42 {
 		t.Fatalf("initial TF = %d", tr.TF())
 	}
-	if tf := tr.Advance(nil); tf != 42 {
+	if tf := tr.Advance(noIssue); tf != 42 {
 		t.Fatalf("idle advance moved TF to %d", tf)
 	}
 }
@@ -98,7 +102,7 @@ func TestClientTrackerQuickInvariant(t *testing.T) {
 				flushed[ts] = true
 				tr.OnFlushed(ts)
 			}
-			tf := tr.Advance(nil)
+			tf := tr.Advance(noIssue)
 			if tf < lastTF {
 				return false // regression
 			}
@@ -156,14 +160,14 @@ func TestClientTrackerConcurrent(t *testing.T) {
 	}()
 	var last kv.Timestamp
 	for {
-		tf := tr.Advance(nil)
+		tf := tr.Advance(noIssue)
 		if tf < last {
 			t.Fatalf("TF regressed %d -> %d", last, tf)
 		}
 		last = tf
 		select {
 		case <-done:
-			if tf := tr.Advance(nil); tf != n {
+			if tf := tr.Advance(noIssue); tf != n {
 				t.Fatalf("final TF = %d, want %d", tf, n)
 			}
 			return
@@ -299,15 +303,15 @@ func TestClientTrackerDuplicateFlushBlocks(t *testing.T) {
 	tr.OnCommitted(2)
 	tr.OnFlushed(1)
 	tr.OnFlushed(1) // duplicate
-	if tf := tr.Advance(nil); tf != 1 {
+	if tf := tr.Advance(noIssue); tf != 1 {
 		t.Fatalf("TF = %d, want 1", tf)
 	}
 	// The stray duplicate must not let TF skip txn 2.
-	if tf := tr.Advance(nil); tf != 1 {
+	if tf := tr.Advance(noIssue); tf != 1 {
 		t.Fatalf("TF advanced to %d past unflushed txn 2", tf)
 	}
 	tr.OnFlushed(2)
-	if tf := tr.Advance(nil); tf != 2 {
+	if tf := tr.Advance(noIssue); tf != 2 {
 		t.Fatalf("TF = %d, want 2", tf)
 	}
 }

@@ -39,35 +39,38 @@ func (m *Master) replicaHostLocked(serverID string) (ReplicaHost, *serverRec, bo
 }
 
 // ensureReplicated brings a region's replication group up to the configured
-// factor around the given primary: a fresh epoch if the primary moved (or
-// bumpEpoch forces one — required whenever the primary's copy was reopened
-// and its stream state reset, so followers re-anchor instead of silently
-// dup-skipping a renumbered stream), follower copies opened on distinct
-// live servers, and the primary's follower set installed. Best-effort — a
-// short cluster runs degraded and a later call (region repair, next
-// failover) completes the group. Must be called without m.mu held, with the
-// primary copy already open.
+// factor around its primary. With bumpEpoch the primary was (re)opened and
+// gets a fresh epoch, so followers re-anchor instead of silently dup-skipping
+// a renumbered stream; without it the call only repairs the group of the
+// primary the master records, and returns if the primary moved meanwhile. A
+// dead primary changes nothing: its own failure handling rebuilds the group.
+// Follower copies open on distinct live servers. Best-effort — a short
+// cluster runs degraded and a later call completes the group. Must be called
+// without m.mu held, with the primary copy already open.
 func (m *Master) ensureReplicated(info RegionInfo, primaryID string, bumpEpoch bool) {
 	rf := m.cfg.ReplicationFactor
 	if rf <= 1 {
 		return
 	}
 	m.mu.Lock()
-	rs := m.replicas[info.ID]
-	if rs == nil {
-		rs = &replicaSet{}
-		m.replicas[info.ID] = rs
-	}
-	if bumpEpoch || rs.primary != primaryID {
-		rs.epoch++ // new primary incarnation: fence every older one
-		rs.primary = primaryID
-	}
-	epoch := rs.epoch
 	prh, _, ok := m.replicaHostLocked(primaryID)
 	if !ok {
 		m.mu.Unlock()
 		return
 	}
+	rs := m.replicas[info.ID]
+	if rs == nil {
+		rs = &replicaSet{}
+		m.replicas[info.ID] = rs
+	}
+	if bumpEpoch {
+		rs.epoch++ // new primary incarnation: fence every older one
+		rs.primary = primaryID
+	} else if rs.primary != primaryID {
+		m.mu.Unlock()
+		return
+	}
+	epoch := rs.epoch
 	// Keep surviving followers, then fill up to rf-1 with fresh picks.
 	taken := map[string]bool{primaryID: true}
 	var keep []string
@@ -226,8 +229,8 @@ func (m *Master) repairFollowerLoss(failedServer string) {
 			kept = append(kept, id)
 		}
 		rs.followers = kept
-		if !hit || rs.primary == failedServer {
-			continue
+		if _, _, ok := m.replicaHostLocked(rs.primary); !hit || !ok {
+			continue // a dead primary's own failure handling rebuilds the group
 		}
 		if info, ok := m.regionInfoLocked(regionID); ok {
 			jobs = append(jobs, job{info: info, primary: rs.primary})
