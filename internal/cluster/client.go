@@ -342,8 +342,8 @@ func (t *Txn) commit(ctx context.Context, wait bool) (kv.Timestamp, error) {
 
 	if t.client.remote != nil {
 		// Remote mode: the gateway validates, commits, and owns the
-		// recovery-protected flush (read-only included: the gateway
-		// releases the snapshot pin).
+		// recovery-protected flush (read-only: the snapshot pin's release
+		// rides the next gateway begin).
 		return t.client.commitRemoteTxn(ctx, t, updates, wait)
 	}
 

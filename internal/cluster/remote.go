@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"txkv/internal/kv"
@@ -158,6 +159,12 @@ func (c *Cluster) stopRPC() {
 type txnGateway struct {
 	c *Cluster
 
+	// seq numbers transaction handles across every session, so a handle
+	// is never reused: one sent on a later connection than the one that
+	// began it (a release riding a TBegin after a redial, a commit retried
+	// on a new connection) names nothing there.
+	seq atomic.Uint64
+
 	mu       sync.Mutex
 	sessions map[uint64]*gwSession
 }
@@ -168,7 +175,6 @@ type gwSession struct {
 	client *Client
 
 	mu   sync.Mutex
-	seq  uint64
 	txns map[uint64]*Txn
 }
 
@@ -223,8 +229,7 @@ func (g *txnGateway) Begin(sessionID uint64, clientID string, readOnly bool, sna
 		t.Abort()
 		return 0, 0, txmgr.ErrTxnNotActive
 	}
-	s.seq++
-	h := s.seq
+	h := g.seq.Add(1)
 	s.txns[h] = t
 	s.mu.Unlock()
 	return h, t.StartTS(), nil
@@ -314,25 +319,39 @@ func (g *txnGateway) EndSession(sessionID uint64) {
 }
 
 // RemoteTxnService is the begin/commit/abort surface a remote client drives
-// over the wire. *rpc.TxnClient implements it; tests substitute fakes.
+// over the wire. *rpc.TxnClient implements it. BeginRemote first ends the
+// read-only transactions listed in release.
 type RemoteTxnService interface {
-	BeginRemote(ctx context.Context, clientID string, readOnly bool, snapTS kv.Timestamp, mode int) (uint64, kv.Timestamp, error)
+	BeginRemote(ctx context.Context, clientID string, readOnly bool, snapTS kv.Timestamp, mode int, release []uint64) (uint64, kv.Timestamp, error)
 	CommitRemote(ctx context.Context, handle uint64, updates []kv.Update, wait bool) (kv.Timestamp, error)
 	BeginCommitRemote(ctx context.Context, clientID string, mode int, updates []kv.Update, wait bool) (startTS, cts kv.Timestamp, err error)
 	AbortRemote(ctx context.Context, handle uint64) error
 }
 
+// releaseIdleDelay is how long a Remote that sends no TBegin keeps the
+// handles of finished read-only transactions before releasing them with
+// one TAbort each.
+const releaseIdleDelay = 5 * time.Millisecond
+
 // Remote is a client-process handle to a cluster served elsewhere: the
 // counterpart of *Cluster for processes that hold no cluster state. It
 // owns one connection pool; every Client it creates shares it.
+//
+// Ending a read-only transaction sends nothing: its handle waits in
+// release and rides the next TBegin of any of the Remote's clients, so a
+// View costs its TBegin and its reads. A deferred release holds the
+// gateway's version-GC horizon back until that begin, or for
+// releaseIdleDelay when none comes and relTimer sends it.
 type Remote struct {
 	tr     *rpc.TCPTransport
 	txn    RemoteTxnService
 	watchc *rpc.WatchClient
 
-	mu     sync.Mutex
-	seq    int
-	closed bool
+	mu       sync.Mutex
+	seq      int
+	closed   bool
+	release  []uint64    // handles of finished read-only transactions
+	relTimer *time.Timer // runs releaseIdle releaseIdleDelay after release fills
 }
 
 // openWatch opens a change stream through the serving process's watch
@@ -417,8 +436,9 @@ func (r *Remote) TableRegions(table string) ([]kvstore.RegionInfo, error) {
 }
 
 // Close tears down the connection pool. Clients created from this handle
-// stop working; open remote transactions are aborted by the server when it
-// notices the connection drop.
+// stop working; open remote transactions, and read-only ones whose release
+// is still pending, are aborted by the server when it notices the
+// connection drop.
 func (r *Remote) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -426,8 +446,55 @@ func (r *Remote) Close() {
 		return
 	}
 	r.closed = true
+	r.release = nil
+	if r.relTimer != nil {
+		r.relTimer.Stop()
+	}
 	r.mu.Unlock()
 	_ = r.tr.Close()
+}
+
+// deferRelease queues finished read-only transactions' handles for the
+// next TBegin. The first handle queued after a TBegin took the list
+// (re)arms the idle timer, so it fires only once no TBegin has taken the
+// list for releaseIdleDelay.
+func (r *Remote) deferRelease(handles ...uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	if len(r.release) == 0 {
+		if r.relTimer == nil {
+			r.relTimer = time.AfterFunc(releaseIdleDelay, r.releaseIdle)
+		} else {
+			r.relTimer.Reset(releaseIdleDelay)
+		}
+	}
+	r.release = append(r.release, handles...)
+}
+
+// takeRelease hands the pending releases to a TBegin about to be sent.
+func (r *Remote) takeRelease() []uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rel := r.release
+	r.release = nil
+	return rel
+}
+
+// releaseIdle runs on the idle timer and sends the releases no TBegin has
+// taken as plain TAborts.
+func (r *Remote) releaseIdle() {
+	r.mu.Lock()
+	rel := r.release
+	r.release = nil
+	r.mu.Unlock()
+	for _, h := range rel {
+		ctx, cancel := context.WithTimeout(context.Background(), connectProbeTimeout)
+		_ = r.txn.AbortRemote(ctx, h)
+		cancel()
+	}
 }
 
 // beginRemoteTxn is BeginTxn for remote-mode clients: the gateway assigns
@@ -451,8 +518,15 @@ func (cl *Client) beginRemoteTxn(opts TxnOptions) (*Txn, error) {
 func (cl *Client) remoteBegin(readOnly bool, snapTS kv.Timestamp, mode SnapshotMode) (txmgr.TxnHandle, error) {
 	ctx, cancel := context.WithTimeout(cl.ctx, connectProbeTimeout)
 	defer cancel()
-	h, startTS, err := cl.remote.txn.BeginRemote(ctx, cl.id, readOnly, snapTS, int(mode))
+	release := cl.remote.takeRelease()
+	h, startTS, err := cl.remote.txn.BeginRemote(ctx, cl.id, readOnly, snapTS, int(mode), release)
 	if err != nil {
+		// The request may not have got out: keep the releases for the
+		// next begin (a repeated release names nothing, handles are never
+		// reused).
+		if len(release) > 0 {
+			cl.remote.deferRelease(release...)
+		}
 		return txmgr.TxnHandle{}, opErr("begin", "", "", err)
 	}
 	return txmgr.TxnHandle{ID: h, ClientID: cl.id, StartTS: startTS}, nil
@@ -510,8 +584,14 @@ func (t *Txn) beginDeferred() (kv.Timestamp, error) {
 // round trip, when the transaction is deferred and never read. A transport
 // failure mid-commit maps to ErrCommitIndeterminate — the request may have
 // executed; the gateway's recovery protection finishes the flush either
-// way if it did.
+// way if it did. A read-only transaction sends nothing: its release rides
+// the Remote's next TBegin, and it returns its snapshot as the local path
+// does.
 func (cl *Client) commitRemoteTxn(ctx context.Context, t *Txn, updates []kv.Update, wait bool) (kv.Timestamp, error) {
+	if t.readOnly {
+		cl.remote.deferRelease(t.h.ID)
+		return t.h.StartTS, nil
+	}
 	t.bmu.Lock()
 	var (
 		cts kv.Timestamp
@@ -534,8 +614,13 @@ func (cl *Client) commitRemoteTxn(ctx context.Context, t *Txn, updates []kv.Upda
 
 // abortRemoteTxn releases a remote transaction. Best-effort: if the
 // connection is down, the gateway aborts the session's transactions itself.
-// A deferred transaction that never began has nothing to release.
+// A deferred transaction that never began has nothing to release; a
+// read-only one is released by the Remote's next TBegin.
 func (cl *Client) abortRemoteTxn(t *Txn) {
+	if t.readOnly {
+		cl.remote.deferRelease(t.h.ID)
+		return
+	}
 	t.bmu.Lock()
 	id, begun := t.h.ID, !t.deferred || t.begun
 	t.bmu.Unlock()

@@ -388,6 +388,202 @@ func TestRemoteUpdateFailingBeforeReadSendsNothing(t *testing.T) {
 	}
 }
 
+// waitPinsReleased commits a blind write through cl, which sends no TBegin
+// and so carries no release, and waits until the visibility frontier has
+// passed it and no gateway snapshot pin holds the version-GC horizon below
+// the frontier.
+func waitPinsReleased(t *testing.T, c *Cluster, cl *Client) {
+	t.Helper()
+	ctx := context.Background()
+	cts, err := cl.Update(ctx, func(txn *Txn) error { return txn.Put(ctx, "t", "frontier", "v", []byte("x")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		safe, frontier := c.TM().SafeSnapshot(), c.TM().Frontier()
+		if frontier >= cts && safe >= frontier {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("safe snapshot %d stays below frontier %d: a read-only pin was never released", safe, frontier)
+		}
+		time.Sleep(releaseIdleDelay)
+	}
+}
+
+// maxIdleReleases bounds the TAborts a run of back-to-back Views may send:
+// only a pause longer than releaseIdleDelay between two begins (a GC or
+// scheduling stall) and the final idle flush release by TAbort.
+const maxIdleReleases = 10
+
+// TestRemoteViewsReleaseOnNextBegin: a remote View costs its TBegin and its
+// reads. Its snapshot pin's release rides the next TBegin, and the last
+// one's goes out as a TAbort once the Remote is idle, so no pin leaks.
+func TestRemoteViewsReleaseOnNextBegin(t *testing.T) {
+	c, addr, _ := startRemoteCluster(t, 1)
+	if err := c.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	cl := connectRemoteClient(t, addr, "views")
+	ctx := context.Background()
+	if _, err := cl.Update(ctx, func(txn *Txn) error { return txn.Put(ctx, "t", "k", "v", []byte("x")) }); err != nil {
+		t.Fatal(err)
+	}
+
+	before := gatewayRequests(c)
+	const views = 1000
+	for i := 0; i < views; i++ {
+		if err := cl.View(ctx, func(txn *Txn) error {
+			v, ok, err := txn.Get(ctx, "t", "k", "v")
+			if err == nil && (!ok || string(v) != "x") {
+				err = fmt.Errorf("read %q found=%v, want x", v, ok)
+			}
+			return err
+		}); err != nil {
+			t.Fatalf("view %d: %v", i, err)
+		}
+	}
+	// Committing a read-only transaction releases it the same way, and
+	// returns its snapshot.
+	ro, err := cl.BeginTxn(TxnOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cts, err := ro.Commit(ctx); err != nil || cts != ro.StartTS() {
+		t.Fatalf("read-only commit = %d, %v; want its snapshot %d", cts, err, ro.StartTS())
+	}
+	waitPinsReleased(t, c, cl)
+
+	got := requestsSince(c, before)
+	if got["t.begin"] != views+1 || got["t.commit"] != 0 {
+		t.Fatalf("%d views and a read-only commit sent %v, want %d TBegin and no TCommit", views, got, views+1)
+	}
+	if got["t.abort"] < 1 || got["t.abort"] > maxIdleReleases {
+		t.Fatalf("%d views sent %d TAborts, want 1 to %d", views, got["t.abort"], maxIdleReleases)
+	}
+}
+
+// TestRemoteConcurrentViewsReleasePins: clients of one Remote run Views and
+// read-write Updates concurrently, so releases queued by one client ride
+// another's begins. Every pin is released and no release is lost.
+func TestRemoteConcurrentViewsReleasePins(t *testing.T) {
+	c, addr, _ := startRemoteCluster(t, 1)
+	if err := c.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	remote, err := ConnectRemote(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	ctx := context.Background()
+
+	before := gatewayRequests(c)
+	const workers, rounds = 4, 100
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		cl, err := remote.NewClient(fmt.Sprintf("w%d", w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Stop()
+		wg.Add(1)
+		go func(row kv.Key) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := cl.View(ctx, func(txn *Txn) error {
+					_, _, err := txn.Get(ctx, "t", row, "v")
+					return err
+				}); err != nil {
+					errs <- err
+					return
+				}
+				if i%4 != 0 {
+					continue
+				}
+				if _, err := cl.Update(ctx, func(txn *Txn) error {
+					v, _, err := txn.Get(ctx, "t", row, "v")
+					if err != nil {
+						return err
+					}
+					return txn.Put(ctx, "t", row, "v", append(v, '+'))
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(kv.Key(fmt.Sprintf("row-%d", w)))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	probe, err := remote.NewClient("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Stop()
+	waitPinsReleased(t, c, probe)
+
+	got := requestsSince(c, before)
+	updates := int64(workers * rounds / 4)
+	if got["t.begin"] != workers*rounds+updates || got["t.commit"] != updates {
+		t.Fatalf("sent %v, want %d TBegin and %d TCommit", got, workers*rounds+updates, updates)
+	}
+	if got["t.abort"] > maxIdleReleases {
+		t.Fatalf("%d views sent %d TAborts, want at most %d", workers*rounds, got["t.abort"], maxIdleReleases)
+	}
+}
+
+// TestGatewayHandlesUniqueAcrossSessions: a handle from a session that has
+// ended names nothing on another session — not the other session's own
+// transaction, whose stale commit would otherwise land at the wrong
+// snapshot.
+func TestGatewayHandlesUniqueAcrossSessions(t *testing.T) {
+	c := newCluster(t, fastConfig(1))
+	if err := c.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	g := &txnGateway{c: c, sessions: make(map[uint64]*gwSession)}
+	defer g.EndSession(2)
+	ctx := context.Background()
+	put := func(v string) []kv.Update {
+		return []kv.Update{{Table: "t", Row: "k", Column: "v", Value: []byte(v)}}
+	}
+
+	stale, _, err := g.Begin(1, "old", false, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.EndSession(1)
+	live, _, err := g.Begin(2, "new", false, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Commit(ctx, 2, stale, put("stale"), true); !errors.Is(err, txmgr.ErrTxnNotActive) {
+		t.Fatalf("commit of ended session's handle %d on another session = %v, want ErrTxnNotActive", stale, err)
+	}
+	if _, err := g.Commit(ctx, 2, live, put("live"), true); err != nil {
+		t.Fatalf("commit of the live transaction: %v", err)
+	}
+	cl, err := c.NewClient("reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.View(ctx, func(txn *Txn) error {
+		v, ok, err := txn.Get(ctx, "t", "k", "v")
+		if err == nil && (!ok || string(v) != "live") {
+			err = fmt.Errorf("read %q found=%v, want live", v, ok)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRemoteConcurrentIncrementsLoseNoUpdate: two remote clients, each on
 // its own connection, race read-modify-write increments of one counter.
 // Every increment reads at its begin, so the conflicts are detected and

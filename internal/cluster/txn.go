@@ -284,7 +284,8 @@ func runClosure(txn *Txn, fn func(*Txn) error) error {
 // overrun it while fn runs. The transaction skips the write buffer, commit
 // validation, and the commit log entirely — mutations through it fail with
 // ErrReadOnlyTxn. The snapshot is released when View returns (on success,
-// error, or panic).
+// error, or panic); on a remote client the release reaches the gateway
+// with the next begin, or a few milliseconds later when none comes.
 //
 // View waits (normally sub-millisecond) until the freshest snapshot is
 // fully readable, so it observes every commit already acknowledged to this

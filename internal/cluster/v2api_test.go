@@ -136,6 +136,10 @@ func TestViewPinSurvivesCompaction(t *testing.T) {
 	cfg.MemstoreFlushBytes = 8 << 10 // frequent flushes: store files churn
 	cfg.CompactionThreshold = 2      // background compaction kicks in fast
 	cfg.CompactionInterval = 50 * time.Millisecond
+	// The test checks pins, not session expiry: a session TTL that
+	// outlives a scheduling stall of the parallel suite keeps the only
+	// client from being declared dead mid-test.
+	cfg.SessionTTL = 10 * time.Second
 	c := newCluster(t, cfg)
 	if err := c.CreateTable("t", []kv.Key{"row-020"}); err != nil {
 		t.Fatal(err)

@@ -56,24 +56,29 @@ func (l directLink) Close() {}
 // row. In the replicated case a region's primary and one of its followers
 // crash together: the follower's group repair must not reinstate the dead
 // primary over the promoted one, or the promoted primary's lease lapses and
-// the region stops taking writes.
+// the region stops taking writes. In the straddled case the victims' last
+// heartbeats lie gap apart, so consecutive checks declare them: while the
+// first is recovered the second is dead but still counted alive, and no
+// region may be offered to it either.
 func TestSimultaneousFailuresRecoverTogether(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		servers, crash int
 		rf             int
+		gap            time.Duration
 	}{
-		{"2_of_3", 3, 2, 1},
-		{"3_of_3", 3, 3, 1},
-		{"rf3_2_of_4", 4, 2, 3},
+		{"2_of_3", 3, 2, 1, 0},
+		{"3_of_3", 3, 3, 1, 0},
+		{"rf3_2_of_4", 4, 2, 3, 0},
+		{"2_of_3_straddled", 3, 2, 1, 60 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testSimultaneousFailures(t, tc.servers, tc.crash, tc.rf)
+			testSimultaneousFailures(t, tc.servers, tc.crash, tc.rf, tc.gap)
 		})
 	}
 }
 
-func testSimultaneousFailures(t *testing.T, nServers, crash, rf int) {
+func testSimultaneousFailures(t *testing.T, nServers, crash, rf int, gap time.Duration) {
 	fs := dfs.New(dfs.Config{Replication: 2, DataNodes: 4})
 	master := kvstore.NewMaster(kvstore.MasterConfig{
 		HeartbeatTimeout:  150 * time.Millisecond,
@@ -186,16 +191,16 @@ func testSimultaneousFailures(t *testing.T, nServers, crash, rf int) {
 		}
 	}
 
-	// Stop beating for the victims and give them one last-heartbeat
-	// instant, so a single liveness check finds them all silent.
+	// Stop beating for the victims and give them their last-heartbeat
+	// instants, gap apart and the last one now: with gap 0 a single
+	// liveness check finds them all silent.
 	mu.Lock()
-	var victims []string
+	now := time.Now()
 	for i := 0; i < crash; i++ {
-		victims = append(victims, servers[i].ID())
 		delete(live, servers[i].ID())
 		servers[i].Crash()
+		master.SetLastHeartbeat(now.Add(-time.Duration(crash-1-i)*gap), servers[i].ID())
 	}
-	master.SetLastHeartbeat(time.Now(), victims...)
 	mu.Unlock()
 	for i := 0; i < crash; i++ {
 		add(fmt.Sprintf("r%d", i))

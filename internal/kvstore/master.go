@@ -298,14 +298,22 @@ func (m *Master) LiveServers() []string {
 	return out
 }
 
-// pickServerLocked returns the next live server round-robin.
+// pickServerLocked returns the next live server round-robin, preferring
+// servers heard from within HeartbeatTimeout/2. Servers that die together
+// but whose last heartbeats straddle a liveness check are declared in
+// consecutive checks; until then the later ones are still alive here, and
+// each region offered to one costs its recovery a failed open and a
+// CheckInterval sleep. Any live server is taken when none is fresh.
 func (m *Master) pickServerLocked() (*serverRec, error) {
+	fresh := time.Now().Add(-m.cfg.HeartbeatTimeout / 2)
 	n := len(m.order)
-	for i := 0; i < n; i++ {
-		id := m.order[(m.rrCursor+i)%n]
-		if rec := m.servers[id]; rec != nil && rec.alive {
-			m.rrCursor = (m.rrCursor + i + 1) % n
-			return rec, nil
+	for _, needFresh := range []bool{true, false} {
+		for i := 0; i < n; i++ {
+			id := m.order[(m.rrCursor+i)%n]
+			if rec := m.servers[id]; rec != nil && rec.alive && (!needFresh || rec.lastHB.After(fresh)) {
+				m.rrCursor = (m.rrCursor + i + 1) % n
+				return rec, nil
+			}
 		}
 	}
 	return nil, ErrNoLiveServers

@@ -117,11 +117,6 @@ type Replicator interface {
 	// AdoptRegion seeds the shipper with a promoted follower's stream
 	// state: its epoch, position, checkpoint anchor, and retained tail.
 	AdoptRegion(regionID string, epoch, lastSeq, checkpoint uint64, tail []ReplEntry)
-	// SnapshotTail returns the retained entries with Seq > fromSeq plus
-	// the region's current position — the catch-up transfer a bootstrapping
-	// follower pulls (streamed with credit-based flow control over the
-	// wire).
-	SnapshotTail(regionID string, fromSeq uint64) ([]ReplEntry, ReplicaPosition, error)
 	// DropRegion discards a region's shipping state (close/move).
 	DropRegion(regionID string)
 }
@@ -257,10 +252,6 @@ func (s *RegionServer) ReplStats() ReplServerStats {
 // SetReplicator attaches the shipping engine. Must be called before the
 // server hosts any replicated primary.
 func (s *RegionServer) SetReplicator(r Replicator) { s.repl = r }
-
-// Replicator returns the attached shipping engine (nil when replication is
-// off). The RPC layer serves catch-up snapshots through it.
-func (s *RegionServer) Replicator() Replicator { return s.repl }
 
 // entryFor returns the hosted entry of a region ID.
 func (s *RegionServer) entryFor(regionID string) (*regionEntry, bool) {

@@ -398,27 +398,6 @@ func (sh *Shipper) Checkpoint(regionID string, seq uint64) {
 	}
 }
 
-// SnapshotTail implements kvstore.Replicator.
-func (sh *Shipper) SnapshotTail(regionID string, fromSeq uint64) ([]kvstore.ReplEntry, kvstore.ReplicaPosition, error) {
-	sh.mu.Lock()
-	r := sh.regions[regionID]
-	sh.mu.Unlock()
-	if r == nil {
-		return nil, kvstore.ReplicaPosition{}, fmt.Errorf("%w: %s not replicated here", kvstore.ErrRegionNotServing, regionID)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	pos := kvstore.ReplicaPosition{Epoch: r.epoch, LastSeq: r.lastSeq, Checkpoint: r.checkpoint}
-	start := 0
-	if fromSeq > r.base {
-		start = int(fromSeq - r.base)
-		if start > len(r.log) {
-			start = len(r.log)
-		}
-	}
-	return append([]kvstore.ReplEntry(nil), r.log[start:]...), pos, nil
-}
-
 // DropRegion implements kvstore.Replicator.
 func (sh *Shipper) DropRegion(regionID string) {
 	sh.mu.Lock()

@@ -330,9 +330,11 @@ func TestShipperRFOneNoFollowers(t *testing.T) {
 	}
 }
 
-func TestShipperSnapshotTailAndDrop(t *testing.T) {
+// TestShipperDropRegion: dropping a region forgets its stream and fails
+// an append still waiting for its quorum with ErrRegionNotServing.
+func TestShipperDropRegion(t *testing.T) {
 	f := &fakeFollower{id: "f"}
-	sh := NewShipper(Config{ServerID: "p", Dial: dialerFor(f), QuorumTimeout: 2 * time.Second})
+	sh := NewShipper(Config{ServerID: "p", Dial: dialerFor(f), QuorumTimeout: 5 * time.Second})
 	defer sh.Close()
 	sh.SetFollowers("rg", 1, targets(f))
 	for i := 0; i < 8; i++ {
@@ -340,15 +342,19 @@ func TestShipperSnapshotTailAndDrop(t *testing.T) {
 			t.Fatalf("Replicate: %v", err)
 		}
 	}
-	tail, pos, err := sh.SnapshotTail("rg", 3)
-	if err != nil {
-		t.Fatalf("SnapshotTail: %v", err)
-	}
-	if pos.LastSeq != 8 || len(tail) != 5 || tail[0].Seq != 4 {
-		t.Fatalf("SnapshotTail = pos %+v, %d entries from %d", pos, len(tail), tail[0].Seq)
+	f.mu.Lock()
+	f.failAppends = true
+	f.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- sh.Replicate("rg", testKVs(1)) }()
+	for sh.LastSeq("rg") != 9 {
+		time.Sleep(time.Millisecond)
 	}
 	sh.DropRegion("rg")
-	if _, _, err := sh.SnapshotTail("rg", 0); !errors.Is(err, kvstore.ErrRegionNotServing) {
-		t.Fatalf("SnapshotTail after drop = %v, want ErrRegionNotServing", err)
+	if err := <-done; !errors.Is(err, kvstore.ErrRegionNotServing) {
+		t.Fatalf("Replicate waiting across the drop = %v, want ErrRegionNotServing", err)
+	}
+	if got := sh.LastSeq("rg"); got != 0 {
+		t.Fatalf("LastSeq after drop = %d, want 0", got)
 	}
 }

@@ -60,7 +60,7 @@ func FuzzMessageDecoders(f *testing.F) {
 	f.Add(encBeginCommitReq("c", 1, []kv.Update{{Table: "t", Row: "r", Column: "c", Value: []byte("v")}}, true))
 	f.Add(encAppendEntriesReq("t.r1", 7, []kvstore.ReplEntry{{Seq: 1}}, 1, 9))
 	f.Add(encSetReplicationReq("t.r1", 7, []kvstore.ReplicaTarget{{ServerID: "rs-2"}}, 0))
-	f.Add(encSnapshotReq("t.r1", 3, 32))
+	f.Add(encBeginReq("c", true, 0, 1, []uint64{7, 1 << 40}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -81,7 +81,7 @@ func FuzzMessageDecoders(f *testing.F) {
 		_, _ = decScanResp(data)
 		_, _, _, _ = decApplyReq(data)
 		_, _, _, _, _, _ = decOpenRegionReq(data)
-		_, _, _, _, _ = decBeginReq(data)
+		_, _, _, _, _, _ = decBeginReq(data)
 		_, _, _ = decBeginResp(data)
 		_, _, _, _ = decCommitReq(data)
 		_, _, _, _ = decCommitResp(data)
@@ -104,8 +104,6 @@ func FuzzMessageDecoders(f *testing.F) {
 		_, _, _ = decOpenFollowerReq(data)
 		_, _, _, _ = decCheckpointReq(data)
 		_, _ = decLeaseReq(data)
-		_, _, _, _ = decSnapshotReq(data)
-		_, _ = decSnapshotChunk(data)
 		_ = DecodeError(data)
 	})
 }

@@ -192,9 +192,22 @@ func TestProtocolRoundTrips(t *testing.T) {
 
 	t.Run("Begin", func(t *testing.T) {
 		covers(TBegin)
-		clientID, readOnly, snapTS, mode, err := decBeginReq(encBeginReq("c1", true, 42, 3))
-		if err != nil || clientID != "c1" || !readOnly || snapTS != 42 || mode != 3 {
-			t.Fatalf("req: got %q %v %d %d, %v", clientID, readOnly, snapTS, mode, err)
+		for _, release := range [][]uint64{nil, {7}, {8, 1 << 40, 9}} {
+			clientID, readOnly, snapTS, mode, got, err := decBeginReq(encBeginReq("c1", true, 42, 3, release))
+			if err != nil || clientID != "c1" || !readOnly || snapTS != 42 || mode != 3 || !reflect.DeepEqual(got, release) {
+				t.Fatalf("req with release %v: got %q %v %d %d %v, %v", release, clientID, readOnly, snapTS, mode, got, err)
+			}
+		}
+		// A body without the release field (an older sender) decodes as
+		// an empty list.
+		old := appendUvarint(appendUvarint(appendBool(appendString(nil, "c1"), false), 0), 1)
+		if clientID, readOnly, snapTS, mode, release, err := decBeginReq(old); err != nil || clientID != "c1" ||
+			readOnly || snapTS != 0 || mode != 1 || len(release) != 0 {
+			t.Fatalf("req without release: got %q %v %d %d %v, %v", clientID, readOnly, snapTS, mode, release, err)
+		}
+		// A release list longer than its body is malformed.
+		if _, _, _, _, _, err := decBeginReq(appendUvarint(old, 3)); err == nil {
+			t.Fatal("truncated release list decoded without error")
 		}
 		handle, startTS, err := decBeginResp(encBeginResp(9, 100))
 		if err != nil || handle != 9 || startTS != 100 {
@@ -390,19 +403,6 @@ func TestProtocolRoundTrips(t *testing.T) {
 		}
 	})
 
-	t.Run("Snapshot", func(t *testing.T) {
-		covers(RSnapshot, RSnapCredit) // credit is the shared watch-credit body
-		id, fromSeq, window, err := decSnapshotReq(encSnapshotReq("t.r1", 30, 32))
-		if err != nil || id != "t.r1" || fromSeq != 30 || window != 32 {
-			t.Fatalf("req: got %q %d %d, %v", id, fromSeq, window, err)
-		}
-		chunk := []kvstore.ReplEntry{{Seq: 31, KVs: sampleKVs}}
-		got, err := decSnapshotChunk(encSnapshotChunk(chunk))
-		if err != nil || !reflect.DeepEqual(got, chunk) {
-			t.Fatalf("chunk: got %+v, %v", got, err)
-		}
-	})
-
 	t.Run("every method covered", func(t *testing.T) {
 		all := []byte{
 			MLocateAll, MCreateTable, MSplitRegion, MTableRegions, MRegister, MHeartbeat,
@@ -410,7 +410,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 			RGet, RGetBatch, RScanBatch, RApply, ROpenRegion, RMarkOnline, RCloseRegion, RCloseFlush, RSyncWAL,
 			FCreate, FAppend, FSync, FClose, FAbandon, FDelete, FRename, FExists, FList, FSize, FReadAll, FReadRange,
 			WWatch, WCredit, WCancel,
-			RSetReplication, RAppendEntries, RPromote, RReplicaPos, ROpenFollower, RCheckpoint, RSnapshot, RLease, RSnapCredit,
+			RSetReplication, RAppendEntries, RPromote, RReplicaPos, ROpenFollower, RCheckpoint, RLease,
 		}
 		for _, m := range all {
 			if !testedMethods[m] {

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"txkv/internal/kv"
@@ -105,11 +104,8 @@ func RegisterRegionService(s *Server, rs *kvstore.RegionServer) {
 	registerReplicationService(s, rs)
 }
 
-func snapSessKey(streamID uint64) string { return fmt.Sprintf("snap.%d", streamID) }
-
 // registerReplicationService wires the replication surface: the master's
-// replica-control calls, the primary→follower shipping calls, and the
-// credit-flow catch-up stream.
+// replica-control calls and the primary→follower shipping calls.
 func registerReplicationService(s *Server, rs *kvstore.RegionServer) {
 	s.Handle(RSetReplication, func(_ context.Context, _ *Session, body []byte) ([]byte, error) {
 		regionID, epoch, targets, ttl, err := decSetReplicationReq(body)
@@ -173,84 +169,6 @@ func registerReplicationService(s *Server, rs *kvstore.RegionServer) {
 			return nil, err
 		}
 		return nil, rs.RenewLeases(grants)
-	})
-
-	// The catch-up transfer: a credit-flow stream of the primary's retained
-	// tail above the requested position, exactly the WWatch machinery. The
-	// first frame is the region's position; each following frame is one
-	// entry chunk; RSnapCredit replenishes the window.
-	s.HandleStream(RSnapshot, func(connCtx context.Context, sess *Session, body []byte, st *ServerStream) error {
-		regionID, fromSeq, window, err := decSnapshotReq(body)
-		if err != nil {
-			return err
-		}
-		if window <= 0 {
-			window = defaultSnapshotWindow
-		}
-		repl := rs.Replicator()
-		if repl == nil {
-			return fmt.Errorf("rpc: server %s has no replicator", rs.ID())
-		}
-		tail, pos, err := repl.SnapshotTail(regionID, fromSeq)
-		if err != nil {
-			return err
-		}
-
-		ctx, cancel := context.WithCancel(connCtx)
-		defer cancel()
-		w := &serverWatch{credits: make(chan int, 64), cancel: cancel}
-		key := snapSessKey(st.ID())
-		sess.SetValue(key, w)
-		defer sess.SetValue(key, nil)
-
-		if err := st.Send(encReplicaPos(pos)); err != nil {
-			return err
-		}
-		avail := window - 1
-		for len(tail) > 0 {
-			for avail <= 0 {
-				select {
-				case n := <-w.credits:
-					avail += n
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			chunk := tail
-			if len(chunk) > snapshotChunkEntries {
-				chunk = chunk[:snapshotChunkEntries]
-			}
-			tail = tail[len(chunk):]
-			if err := st.Send(encSnapshotChunk(chunk)); err != nil {
-				return err
-			}
-			avail--
-			for {
-				select {
-				case n := <-w.credits:
-					avail += n
-					continue
-				default:
-				}
-				break
-			}
-		}
-		return nil
-	})
-	s.Handle(RSnapCredit, func(_ context.Context, sess *Session, body []byte) ([]byte, error) {
-		id, n, err := decWatchCreditReq(body)
-		if err != nil {
-			return nil, err
-		}
-		w, _ := sess.Value(snapSessKey(id)).(*serverWatch)
-		if w == nil {
-			return nil, nil // stream already finished; benign race
-		}
-		select {
-		case w.credits <- n:
-		default:
-		}
-		return nil, nil
 	})
 }
 
@@ -473,59 +391,3 @@ func (l *FollowerLink) Checkpoint(regionID string, epoch uint64, seq uint64) err
 // Close is a no-op: the pool owns the underlying connection and shares it
 // with unary traffic to the same server.
 func (l *FollowerLink) Close() {}
-
-// PullSnapshot streams a region's retained WAL tail above fromSeq from the
-// server at addr: the catch-up path for a follower too far behind the
-// primary's shipping window. Returns the tail entries and the primary's
-// position at capture. Credit flow mirrors the watch stream — grants are
-// issued as the window half-drains.
-func PullSnapshot(ctx context.Context, pool *Pool, addr, regionID string, fromSeq uint64) ([]kvstore.ReplEntry, kvstore.ReplicaPosition, error) {
-	c, err := pool.conn(addr)
-	if err != nil {
-		return nil, kvstore.ReplicaPosition{}, err
-	}
-	cs, err := c.Stream(RSnapshot, encSnapshotReq(regionID, fromSeq, defaultSnapshotWindow))
-	if err != nil {
-		return nil, kvstore.ReplicaPosition{}, err
-	}
-	defer cs.Close()
-
-	body, done, err := cs.Recv(ctx)
-	if err != nil {
-		return nil, kvstore.ReplicaPosition{}, err
-	}
-	if done {
-		return nil, kvstore.ReplicaPosition{}, fmt.Errorf("rpc: snapshot stream ended before position frame")
-	}
-	pos, err := decReplicaPos(body)
-	if err != nil {
-		return nil, kvstore.ReplicaPosition{}, err
-	}
-
-	var entries []kvstore.ReplEntry
-	consumed := 1
-	for {
-		body, done, err := cs.Recv(ctx)
-		if err != nil {
-			return nil, kvstore.ReplicaPosition{}, err
-		}
-		if done {
-			return entries, pos, nil
-		}
-		chunk, err := decSnapshotChunk(body)
-		if err != nil {
-			return nil, kvstore.ReplicaPosition{}, err
-		}
-		entries = append(entries, chunk...)
-		consumed++
-		if consumed >= defaultSnapshotWindow/2 {
-			cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_, cerr := c.Call(cctx, RSnapCredit, encWatchCreditReq(cs.ID(), consumed))
-			cancel()
-			if cerr != nil {
-				return nil, kvstore.ReplicaPosition{}, cerr
-			}
-			consumed = 0
-		}
-	}
-}

@@ -179,7 +179,7 @@ func NewServerWithConfig(cfg ServerConfig) *Server {
 // exempt from the inflight cap so a saturated connection can still drain
 // its streams.
 func flowControlMethod(m byte) bool {
-	return m == WCredit || m == WCancel || m == RSnapCredit
+	return m == WCredit || m == WCancel
 }
 
 // Handle registers the handler for one method code. Registration must

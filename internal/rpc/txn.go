@@ -22,8 +22,10 @@ import (
 // implements it (TxnGateway) without this package importing cluster.
 
 // TxnBackend is the server-side transaction executor the gateway service
-// dispatches to. Handles are backend-assigned and scoped to the session;
-// EndSession must abort every transaction the session still has open.
+// dispatches to. Handles are backend-assigned, unique across sessions and
+// never reused, so a handle sent on another connection than the one that
+// began it names nothing there; EndSession must abort every transaction
+// the session still has open.
 // BeginCommit is Begin of a read-write transaction followed by its Commit,
 // in one request: the start timestamp is returned alongside the outcome
 // (zero if the begin itself failed).
@@ -48,11 +50,17 @@ func RegisterTxnService(s *Server, b TxnBackend) {
 		sess.OnClose(func() { b.EndSession(sess.ID()) })
 	}
 	s.Handle(TBegin, func(_ context.Context, sess *Session, body []byte) ([]byte, error) {
-		clientID, readOnly, snapTS, mode, err := decBeginReq(body)
+		clientID, readOnly, snapTS, mode, release, err := decBeginReq(body)
 		if err != nil {
 			return nil, err
 		}
 		ensureSession(sess)
+		// Finished read-only transactions ride the next begin instead of a
+		// TAbort each. They go first, so they never wait behind this
+		// begin's snapshot wait.
+		for _, h := range release {
+			_ = b.Abort(sess.ID(), h)
+		}
 		handle, startTS, err := b.Begin(sess.ID(), clientID, readOnly, snapTS, int(mode))
 		if err != nil {
 			return nil, err
@@ -111,9 +119,10 @@ func NewTxnClient(pool *Pool, addr string) *TxnClient {
 	return &TxnClient{pool: pool, addr: addr}
 }
 
-// BeginRemote starts a transaction in the gateway.
-func (t *TxnClient) BeginRemote(ctx context.Context, clientID string, readOnly bool, snapTS kv.Timestamp, mode int) (uint64, kv.Timestamp, error) {
-	resp, err := t.pool.Call(ctx, t.addr, TBegin, encBeginReq(clientID, readOnly, snapTS, uint64(mode)))
+// BeginRemote starts a transaction in the gateway, first ending the
+// read-only transactions whose handles release lists.
+func (t *TxnClient) BeginRemote(ctx context.Context, clientID string, readOnly bool, snapTS kv.Timestamp, mode int, release []uint64) (uint64, kv.Timestamp, error) {
+	resp, err := t.pool.Call(ctx, t.addr, TBegin, encBeginReq(clientID, readOnly, snapTS, uint64(mode), release))
 	if err != nil {
 		return 0, 0, err
 	}

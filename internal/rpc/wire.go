@@ -48,17 +48,15 @@ const (
 
 	// Replication surface (served by each region-server process): the
 	// master's replica-control calls plus the primary→follower shipping
-	// stream. RSnapshot is a streaming method (KindStream frames, credit
-	// flow like WWatch; RSnapCredit replenishes).
+	// stream. 0x4F and 0x51 are retired (a catch-up snapshot stream and
+	// its credit).
 	RSetReplication byte = 0x49
 	RAppendEntries  byte = 0x4A
 	RPromote        byte = 0x4B
 	RReplicaPos     byte = 0x4C
 	ROpenFollower   byte = 0x4D
 	RCheckpoint     byte = 0x4E
-	RSnapshot       byte = 0x4F
 	RLease          byte = 0x50
-	RSnapCredit     byte = 0x51
 
 	// Watch surface (served by the master process; the protocol's first
 	// streaming methods — WWatch answers with KindStream frames).
@@ -759,58 +757,38 @@ func decLeaseReq(b []byte) (map[string]kvstore.LeaseGrant, error) {
 	return grants, d.err
 }
 
-// defaultSnapshotWindow is the credit window a snapshot puller grants: how
-// many entry chunks the server may push ahead of consumption. Chunks are
-// bounded by snapshotChunkEntries, so the window also bounds buffered bytes.
-const defaultSnapshotWindow = 32
-
-// snapshotChunkEntries caps one KindStream frame of a catch-up transfer.
-const snapshotChunkEntries = 64
-
-func encSnapshotReq(regionID string, fromSeq uint64, window int) []byte {
-	b := appendString(nil, regionID)
-	b = appendUvarint(b, fromSeq)
-	return appendUvarint(b, uint64(window))
-}
-
-func decSnapshotReq(b []byte) (regionID string, fromSeq uint64, window int, err error) {
-	d := newDec(b)
-	regionID = d.str()
-	fromSeq = d.uvarint()
-	window = int(d.uvarint())
-	return regionID, fromSeq, window, d.err
-}
-
-// The snapshot stream's first KindStream frame is the region's position
-// (encReplicaPos); each following frame is one entry chunk (appendReplEntries
-// body). The terminal KindResponse is empty — the position came first so the
-// puller knows the expected tip before entries flow.
-func encSnapshotChunk(entries []kvstore.ReplEntry) []byte {
-	return appendReplEntries(nil, entries)
-}
-
-func decSnapshotChunk(b []byte) ([]kvstore.ReplEntry, error) {
-	d := newDec(b)
-	entries := d.replEntries()
-	return entries, d.err
-}
-
 // --- transaction gateway surface ---
 
-func encBeginReq(clientID string, readOnly bool, snapTS kv.Timestamp, mode uint64) []byte {
-	b := appendString(nil, clientID)
+// encBeginReq / decBeginReq: clientID | readOnly | snapTS | mode |
+// release. release, the handles of read-only transactions the sender has
+// finished since its last begin, was appended to the original body; a body
+// that ends after mode (an older sender) decodes as an empty list.
+func encBeginReq(clientID string, readOnly bool, snapTS kv.Timestamp, mode uint64, release []uint64) []byte {
+	b := make([]byte, 0, (3+len(release))*binary.MaxVarintLen64+len(clientID)+2)
+	b = appendString(b, clientID)
 	b = appendBool(b, readOnly)
 	b = appendUvarint(b, uint64(snapTS))
-	return appendUvarint(b, mode)
+	b = appendUvarint(b, mode)
+	b = appendUvarint(b, uint64(len(release)))
+	for _, h := range release {
+		b = appendUvarint(b, h)
+	}
+	return b
 }
 
-func decBeginReq(b []byte) (clientID string, readOnly bool, snapTS kv.Timestamp, mode uint64, err error) {
+func decBeginReq(b []byte) (clientID string, readOnly bool, snapTS kv.Timestamp, mode uint64, release []uint64, err error) {
 	d := newDec(b)
 	clientID = d.str()
 	readOnly = d.bool()
 	snapTS = kv.Timestamp(d.uvarint())
 	mode = d.uvarint()
-	return clientID, readOnly, snapTS, mode, d.err
+	if d.err == nil && len(d.b) > 0 {
+		n := d.count()
+		for i := 0; i < n && d.err == nil; i++ {
+			release = append(release, d.uvarint())
+		}
+	}
+	return clientID, readOnly, snapTS, mode, release, d.err
 }
 
 func encBeginResp(handle uint64, startTS kv.Timestamp) []byte {
@@ -1106,12 +1084,8 @@ func methodName(m byte) string {
 		return "r.open_follower"
 	case RCheckpoint:
 		return "r.checkpoint"
-	case RSnapshot:
-		return "r.snapshot"
 	case RLease:
 		return "r.lease"
-	case RSnapCredit:
-		return "r.snap_credit"
 	case FCreate:
 		return "f.create"
 	case FAppend:
