@@ -116,11 +116,15 @@ func TestRecoverRegionWithoutFailureHook(t *testing.T) {
 	}
 	info := kvstore.RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}}
 	// The region must be in the recovering state on the target before the
-	// gate runs; OpenRegion drives that, so call it the way the master
-	// does.
-	if err := other.OpenRegion(info, nil, func() error {
-		return h.rm.RecoverRegion(info, "ghost-server", other)
-	}); err != nil {
+	// gate runs; open it, run the gate and mark it online the way the
+	// master does.
+	if err := other.OpenRegion(info, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.rm.RecoverRegion(info, "ghost-server", other); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.MarkRegionOnline(info.ID); err != nil {
 		t.Fatal(err)
 	}
 	// The write-set was replayed to 'other' (the master knows no T_P for

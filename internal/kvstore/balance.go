@@ -64,10 +64,10 @@ func (m *Master) MoveRegion(regionID, targetServerID string) error {
 		reassign(srcID) // leave it where it was
 		return fmt.Errorf("move %s: %w", regionID, err)
 	}
-	if err := target.host.OpenRegionFiles(info, files, nil, nil); err != nil {
+	if err := target.host.OpenRegionFiles(info, files, nil); err != nil {
 		// Try to restore it on the source. Either way the source's stream
 		// state is gone, so the group (if any) re-forms at a fresh epoch.
-		if rerr := src.host.OpenRegionFiles(info, files, nil, nil); rerr == nil {
+		if rerr := src.host.OpenRegionFiles(info, files, nil); rerr == nil {
 			reassign(srcID)
 			m.ensureReplicated(info, srcID, true)
 		}

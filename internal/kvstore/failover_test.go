@@ -20,11 +20,11 @@ type openCounter struct {
 	late *atomic.Int64
 }
 
-func (h openCounter) OpenRegion(info kvstore.RegionInfo, edits []kvstore.WALEntry, preOnline func() error) error {
+func (h openCounter) OpenRegion(info kvstore.RegionInfo, edits []kvstore.WALEntry, recovering bool) error {
 	if h.Crashed() {
 		h.late.Add(1)
 	}
-	return h.RegionServer.OpenRegion(info, edits, preOnline)
+	return h.RegionServer.OpenRegion(info, edits, recovering)
 }
 
 func (h openCounter) OpenRegionFollower(info kvstore.RegionInfo, epoch uint64) error {

@@ -118,6 +118,7 @@ type Master struct {
 	listeners  []ServerFailureListener
 	layoutSink LayoutSink
 	layoutMu   sync.Mutex // orders layout snapshots into the sink
+	refillMu   sync.Mutex // serializes refillReplicas passes
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -232,6 +233,8 @@ func (m *Master) AddServer(s *RegionServer) error {
 // handle — the registration path for region-server processes, whose host is
 // internal/rpc's proxy and whose addr is the address clients dial for
 // reads. The server is expected to already be started and heartbeating.
+// Replication groups a failure left short take follower copies on it in the
+// background, so registration does not wait for them.
 func (m *Master) AddServerHost(host RegionHost, addr string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -242,6 +245,7 @@ func (m *Master) AddServerHost(host RegionHost, addr string) error {
 	// until the server's first report.
 	m.servers[host.ID()] = &serverRec{host: host, addr: addr, tp: m.tp, lastHB: time.Now(), alive: true}
 	m.order = append(m.order, host.ID())
+	go m.refillReplicas()
 	return nil
 }
 
@@ -362,7 +366,7 @@ func (m *Master) CreateTable(name string, splits []kv.Key) error {
 	m.mu.Unlock()
 
 	for _, p := range placements {
-		if err := p.rec.host.OpenRegion(p.info, nil, nil); err != nil {
+		if err := p.rec.host.OpenRegion(p.info, nil, false); err != nil {
 			return fmt.Errorf("open region %s: %w", p.info.ID, err)
 		}
 	}
@@ -401,7 +405,7 @@ func (m *Master) RestoreTable(name string, regions []RegionInfo, edits map[strin
 	m.mu.Unlock()
 
 	for _, p := range placements {
-		if err := p.rec.host.OpenRegion(p.info, edits[p.info.ID], nil); err != nil {
+		if err := p.rec.host.OpenRegion(p.info, edits[p.info.ID], false); err != nil {
 			return fmt.Errorf("restore region %s: %w", p.info.ID, err)
 		}
 	}
@@ -586,7 +590,6 @@ func (m *Master) failLocked(serverID string, rec *serverRec) func() {
 func (m *Master) recoverServer(serverID string, tp kv.Timestamp, affected []RegionInfo, start time.Time) {
 	m.mu.Lock()
 	listeners := append([]ServerFailureListener(nil), m.listeners...)
-	gate := m.gate
 	m.mu.Unlock()
 
 	// Hook 1: notify the recovery manager before region recovery begins.
@@ -608,7 +611,7 @@ func (m *Master) recoverServer(serverID string, tp kv.Timestamp, affected []Regi
 		wg.Add(1)
 		go func(info RegionInfo) {
 			defer wg.Done()
-			if !m.promoteViaReplica(info, serverID, gate) {
+			if !m.promoteViaReplica(info, serverID) {
 				fallbackMu.Lock()
 				fallback = append(fallback, info)
 				fallbackMu.Unlock()
@@ -629,7 +632,7 @@ func (m *Master) recoverServer(serverID string, tp kv.Timestamp, affected []Regi
 			wg.Add(1)
 			go func(info RegionInfo) {
 				defer wg.Done()
-				m.reassignRegion(info, serverID, edits[info.ID], gate)
+				m.reassignRegion(info, serverID, edits[info.ID])
 			}(info)
 		}
 		wg.Wait()
@@ -637,7 +640,7 @@ func (m *Master) recoverServer(serverID string, tp kv.Timestamp, affected []Regi
 
 	// The dead server may also have carried follower copies of regions
 	// whose primaries are alive: refill those groups.
-	m.repairFollowerLoss(serverID)
+	m.refillReplicas()
 
 	m.failovers.Add(1)
 	m.regionsPromoted.Add(int64(len(affected) - len(fallback)))
@@ -706,7 +709,7 @@ func (m *Master) splitWAL(serverID string) map[string][]WALEntry {
 }
 
 // reassignRegion keeps trying live servers until the region is online.
-func (m *Master) reassignRegion(info RegionInfo, failedServer string, edits []WALEntry, gate RecoveryGate) {
+func (m *Master) reassignRegion(info RegionInfo, failedServer string, edits []WALEntry) {
 	for {
 		select {
 		case <-m.stop:
@@ -716,17 +719,14 @@ func (m *Master) reassignRegion(info RegionInfo, failedServer string, edits []WA
 		m.mu.Lock()
 		rec, err := m.pickServerLocked()
 		m.mu.Unlock()
+		if err == nil {
+			if err = rec.host.OpenRegion(info, edits, true); err == nil {
+				err = m.bringOnline(rec.host, info, failedServer)
+			}
+		}
 		if err != nil {
-			time.Sleep(m.cfg.CheckInterval)
-			continue
-		}
-		var preOnline func() error
-		if gate != nil {
-			host := rec.host
-			preOnline = func() error { return gate.RecoverRegion(info, failedServer, host) }
-		}
-		if err := rec.host.OpenRegion(info, edits, preOnline); err != nil {
-			// Chosen server may itself have died; try another.
+			// No live server, or the chosen one died or failed the gate:
+			// try another.
 			time.Sleep(m.cfg.CheckInterval)
 			continue
 		}
@@ -739,4 +739,27 @@ func (m *Master) reassignRegion(info RegionInfo, failedServer string, edits []WA
 		m.ensureReplicated(info, rec.host.ID(), true)
 		return
 	}
+}
+
+// bringOnline resolves a recovering region copy on host, opened by a log
+// split or promoted from a follower: the recovery gate (paper §3.2) replays
+// into it every write-set committed after the failed server's T_P, and only
+// then does the copy start serving, so no client reads a partially
+// recovered region. If either step fails the copy is closed.
+func (m *Master) bringOnline(host RegionHost, info RegionInfo, failedServer string) error {
+	m.mu.Lock()
+	gate := m.gate
+	m.mu.Unlock()
+	var err error
+	if gate != nil {
+		err = gate.RecoverRegion(info, failedServer, host)
+	}
+	if err == nil {
+		err = host.MarkRegionOnline(info.ID)
+	}
+	if err != nil {
+		host.CloseRegion(info.ID)
+		return fmt.Errorf("region %s recovery gate: %w", info.ID, err)
+	}
+	return nil
 }

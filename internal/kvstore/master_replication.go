@@ -27,15 +27,11 @@ type FollowerLocation struct {
 	Addr     string
 }
 
-// replicaHostLocked returns the server's host as a ReplicaHost when the
-// server is alive and replication-capable. Caller holds m.mu.
-func (m *Master) replicaHostLocked(serverID string) (ReplicaHost, *serverRec, bool) {
+// liveLocked returns a server's record when the server is alive. Caller
+// holds m.mu.
+func (m *Master) liveLocked(serverID string) (*serverRec, bool) {
 	rec := m.servers[serverID]
-	if rec == nil || !rec.alive {
-		return nil, nil, false
-	}
-	rh, ok := rec.host.(ReplicaHost)
-	return rh, rec, ok
+	return rec, rec != nil && rec.alive
 }
 
 // ensureReplicated brings a region's replication group up to the configured
@@ -53,7 +49,7 @@ func (m *Master) ensureReplicated(info RegionInfo, primaryID string, bumpEpoch b
 		return
 	}
 	m.mu.Lock()
-	prh, _, ok := m.replicaHostLocked(primaryID)
+	prec, ok := m.liveLocked(primaryID)
 	if !ok {
 		m.mu.Unlock()
 		return
@@ -75,26 +71,18 @@ func (m *Master) ensureReplicated(info RegionInfo, primaryID string, bumpEpoch b
 	taken := map[string]bool{primaryID: true}
 	var keep []string
 	for _, id := range rs.followers {
-		if _, _, ok := m.replicaHostLocked(id); ok && !taken[id] && len(keep) < rf-1 {
+		if _, ok := m.liveLocked(id); ok && !taken[id] && len(keep) < rf-1 {
 			keep = append(keep, id)
 			taken[id] = true
 		}
 	}
-	type pick struct {
-		id   string
-		rh   ReplicaHost
-		addr string
-	}
-	var fresh []pick
+	var fresh []*serverRec
 	for _, id := range m.order {
 		if len(keep)+len(fresh) >= rf-1 {
 			break
 		}
-		if taken[id] {
-			continue
-		}
-		if rh, rec, ok := m.replicaHostLocked(id); ok {
-			fresh = append(fresh, pick{id: id, rh: rh, addr: rec.addr})
+		if rec, ok := m.liveLocked(id); ok && !taken[id] {
+			fresh = append(fresh, rec)
 			taken[id] = true
 		}
 	}
@@ -106,15 +94,15 @@ func (m *Master) ensureReplicated(info RegionInfo, primaryID string, bumpEpoch b
 	m.mu.Unlock()
 
 	// Open the new follower copies (outside the lock: these are host calls).
-	for _, p := range fresh {
-		if err := p.rh.OpenRegionFollower(info, epoch); err != nil {
+	for _, rec := range fresh {
+		if err := rec.host.OpenRegionFollower(info, epoch); err != nil {
 			continue // placement is best-effort; the group runs degraded
 		}
-		targets = append(targets, ReplicaTarget{ServerID: p.id, Addr: p.addr})
+		targets = append(targets, ReplicaTarget{ServerID: rec.host.ID(), Addr: rec.addr})
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ServerID < targets[j].ServerID })
 
-	if err := prh.SetReplication(info.ID, epoch, targets, ttl); err != nil {
+	if err := prec.host.SetReplication(info.ID, epoch, targets, ttl); err != nil {
 		return // primary just died: failure handling rebuilds the group
 	}
 	m.mu.Lock()
@@ -129,27 +117,21 @@ func (m *Master) ensureReplicated(info RegionInfo, primaryID string, bumpEpoch b
 
 // promoteViaReplica attempts promotion-first failover for one region of a
 // failed server: query every live follower's replicated position, promote
-// the most-caught-up one at a fresh epoch (recovery-gated, like any region
-// open), and repair the follower set around it. Returns false when no
-// follower can be promoted — the caller falls back to WAL-split reassignment.
-func (m *Master) promoteViaReplica(info RegionInfo, failedServer string, gate RecoveryGate) bool {
+// the most-caught-up one at a fresh epoch, bring it online through the
+// recovery gate like any recovered region, and repair the follower set
+// around it. Returns false when no follower can be promoted — the caller
+// falls back to WAL-split reassignment.
+func (m *Master) promoteViaReplica(info RegionInfo, failedServer string) bool {
 	m.mu.Lock()
 	rs := m.replicas[info.ID]
 	if rs == nil || len(rs.followers) == 0 {
 		m.mu.Unlock()
 		return false
 	}
-	type cand struct {
-		id string
-		rh ReplicaHost
-	}
-	var cands []cand
+	var cands []RegionHost
 	for _, id := range rs.followers {
-		if id == failedServer {
-			continue
-		}
-		if rh, _, ok := m.replicaHostLocked(id); ok {
-			cands = append(cands, cand{id: id, rh: rh})
+		if rec, ok := m.liveLocked(id); ok && id != failedServer {
+			cands = append(cands, rec.host)
 		}
 	}
 	knownEpoch := rs.epoch
@@ -160,98 +142,107 @@ func (m *Master) promoteViaReplica(info RegionInfo, failedServer string, gate Re
 	// epoch form a single contiguous stream, so the longest follower holds a
 	// superset of every quorum-acknowledged write.
 	var (
-		best    cand
+		best    RegionHost
 		bestPos ReplicaPosition
-		have    bool
 	)
 	for _, c := range cands {
-		pos, err := c.rh.ReplicaPos(info.ID)
+		pos, err := c.ReplicaPos(info.ID)
 		if err != nil {
 			continue
 		}
 		if pos.Epoch > knownEpoch {
 			knownEpoch = pos.Epoch
 		}
-		if !have || pos.Epoch > bestPos.Epoch ||
+		if best == nil || pos.Epoch > bestPos.Epoch ||
 			(pos.Epoch == bestPos.Epoch && pos.LastSeq > bestPos.LastSeq) {
-			best, bestPos, have = c, pos, true
+			best, bestPos = c, pos
 		}
 	}
-	if !have {
+	if best == nil {
 		return false
 	}
 	newEpoch := knownEpoch + 1
-	var preOnline func() error
-	if gate != nil {
-		host, _ := best.rh.(RegionHost)
-		preOnline = func() error { return gate.RecoverRegion(info, failedServer, host) }
-	}
-	if err := best.rh.PromoteRegion(info.ID, newEpoch, ttl, preOnline); err != nil {
+	if err := best.PromoteRegion(info.ID, newEpoch, ttl); err != nil {
 		return false
 	}
+	err := m.bringOnline(best, info, failedServer)
+	bestID := best.ID()
 	m.mu.Lock()
-	m.assign[info.ID] = best.id
-	delete(m.recovering, info.ID)
-	rs.epoch = newEpoch
-	rs.primary = best.id
+	// The promoted copy is no follower any more: either it is the primary
+	// or, after a failed gate, closed, and the fallback's group repair
+	// places a fresh follower.
 	kept := rs.followers[:0]
 	for _, id := range rs.followers {
-		if id != best.id && id != failedServer {
+		if id != bestID && id != failedServer {
 			kept = append(kept, id)
 		}
 	}
 	rs.followers = kept
+	if err == nil {
+		m.assign[info.ID] = bestID
+		delete(m.recovering, info.ID)
+		rs.epoch = newEpoch
+		rs.primary = bestID
+	}
 	m.mu.Unlock()
-
-	m.ensureReplicated(info, best.id, false)
+	if err != nil {
+		return false
+	}
+	m.ensureReplicated(info, bestID, false)
 	return true
 }
 
-// repairFollowerLoss rebuilds every replication group that lost a follower
-// (not its primary) to the failed server: the dead member is dropped and
-// ensureReplicated refills the group — under the same epoch, since the
-// primary did not move.
-func (m *Master) repairFollowerLoss(failedServer string) {
+// refillReplicas brings every replication group whose primary is alive back
+// to the replication factor: ensureReplicated drops its dead followers and
+// places fresh copies on live servers, under the same epoch, since the
+// primary did not move. A dead primary's group is left to that server's
+// failure handling. It runs after every failure and every registration, so
+// a server that joins later takes the copies a failure left short.
+func (m *Master) refillReplicas() {
+	rf := m.cfg.ReplicationFactor
+	if rf <= 1 {
+		return
+	}
+	m.refillMu.Lock()
+	defer m.refillMu.Unlock()
 	type job struct {
 		info    RegionInfo
 		primary string
 	}
 	var jobs []job
 	m.mu.Lock()
-	for regionID, rs := range m.replicas {
-		hit := false
-		kept := rs.followers[:0]
-		for _, id := range rs.followers {
-			if id == failedServer {
-				hit = true
+	live := 0
+	for _, rec := range m.servers {
+		if rec.alive {
+			live++
+		}
+	}
+	for _, regions := range m.tables {
+		for _, info := range regions {
+			rs := m.replicas[info.ID]
+			if rs == nil {
 				continue
 			}
-			kept = append(kept, id)
-		}
-		rs.followers = kept
-		if _, _, ok := m.replicaHostLocked(rs.primary); !hit || !ok {
-			continue // a dead primary's own failure handling rebuilds the group
-		}
-		if info, ok := m.regionInfoLocked(regionID); ok {
-			jobs = append(jobs, job{info: info, primary: rs.primary})
+			if _, ok := m.liveLocked(rs.primary); !ok {
+				continue
+			}
+			up := 0
+			for _, id := range rs.followers {
+				if _, ok := m.liveLocked(id); ok {
+					up++
+				}
+			}
+			// Short of a live follower, or of one that a free live server
+			// could add.
+			if up < len(rs.followers) || up < rf-1 && up+1 < live {
+				jobs = append(jobs, job{info: info, primary: rs.primary})
+			}
 		}
 	}
 	m.mu.Unlock()
 	for _, j := range jobs {
 		m.ensureReplicated(j.info, j.primary, false)
 	}
-}
-
-// regionInfoLocked resolves a region ID to its metadata. Caller holds m.mu.
-func (m *Master) regionInfoLocked(regionID string) (RegionInfo, bool) {
-	for _, regions := range m.tables {
-		for _, info := range regions {
-			if info.ID == regionID {
-				return info, true
-			}
-		}
-	}
-	return RegionInfo{}, false
 }
 
 // dropReplicaGroup forgets a region's replication group and closes its
@@ -299,24 +290,23 @@ func (m *Master) renewLeases() {
 		g[regionID] = LeaseGrant{Epoch: rs.epoch, TTL: ttl}
 	}
 	type send struct {
-		rh  ReplicaHost
 		rec *serverRec
 		g   map[string]LeaseGrant
 	}
 	var sends []send
 	for sid, g := range grants {
-		rh, rec, ok := m.replicaHostLocked(sid)
+		rec, ok := m.liveLocked(sid)
 		if !ok || rec.leaseInFlight {
 			continue
 		}
 		rec.leaseInFlight = true
-		sends = append(sends, send{rh: rh, rec: rec, g: g})
+		sends = append(sends, send{rec: rec, g: g})
 	}
 	m.mu.Unlock()
 	for _, s := range sends {
 		s := s
 		go func() {
-			_ = s.rh.RenewLeases(s.g)
+			_ = s.rec.host.RenewLeases(s.g)
 			m.mu.Lock()
 			s.rec.leaseInFlight = false
 			m.mu.Unlock()

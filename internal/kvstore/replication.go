@@ -145,34 +145,6 @@ type FollowerLink interface {
 // LinkDialer resolves a follower target into a live link.
 type LinkDialer func(t ReplicaTarget) (FollowerLink, error)
 
-// ReplicaHost is the master's replication-control surface on one region
-// server. *RegionServer implements it directly; internal/rpc's host proxy
-// implements it over the wire. It is a separate interface from RegionHost so
-// existing RegionHost implementations (and fakes) keep compiling; the master
-// type-asserts and treats a host without it as replication-incapable.
-type ReplicaHost interface {
-	// OpenRegionFollower opens a follower copy: store files from the DFS
-	// listing, an empty memstore, role follower at the given epoch. The
-	// primary's first checkpoint message re-anchors it before any entries
-	// flow, so a stale listing here is harmless.
-	OpenRegionFollower(info RegionInfo, epoch uint64) error
-	// SetReplication marks a hosted region as the primary at the given
-	// epoch with the given follower set, and grants/extends its leader
-	// lease.
-	SetReplication(regionID string, epoch uint64, followers []ReplicaTarget, leaseTTL time.Duration) error
-	// RenewLeases extends the leader leases of the regions this server
-	// primaries (batched: one call per server per master tick).
-	RenewLeases(grants map[string]LeaseGrant) error
-	// PromoteRegion flips a follower copy into the region's primary at a
-	// strictly higher epoch. The region stays recovering until preOnline
-	// (the transactional recovery gate) completes, mirroring the staged
-	// open path.
-	PromoteRegion(regionID string, epoch uint64, leaseTTL time.Duration, preOnline func() error) error
-	// ReplicaPos reports a hosted copy's stream position (re-election
-	// input).
-	ReplicaPos(regionID string) (ReplicaPosition, error)
-}
-
 // replState is a hosted region copy's replication state, embedded in its
 // regionEntry. The atomics are read on hot paths (role on every findRegion,
 // frontier on every follower read) without taking locks; mu serializes the
@@ -262,23 +234,18 @@ func (s *RegionServer) entryFor(regionID string) (*regionEntry, bool) {
 }
 
 // OpenRegionFollower opens a follower copy of a region on this server (see
-// ReplicaHost). An existing follower copy is replaced (idempotent re-open);
+// RegionHost). An existing follower copy is replaced (idempotent re-open);
 // an existing primary or unreplicated copy is an error — the master never
 // places a follower where the primary lives.
 func (s *RegionServer) OpenRegionFollower(info RegionInfo, epoch uint64) error {
-	s.mu.RLock()
-	crashed := s.crashed
-	s.mu.RUnlock()
-	if crashed {
+	if s.Crashed() {
 		return ErrServerStopped
 	}
-	r, err := OpenRegion(s.fs, s.cache, info)
+	r, err := s.loadRegion(info, nil, false)
 	if err != nil {
 		return err
 	}
-	r.reclaim = s.cfg.Reclaim
-	r.stats = s.cfg.FileStats
-	entry := &regionEntry{r: r, online: false}
+	entry := &regionEntry{r: r}
 	entry.rep.role.Store(int32(RoleFollower))
 	entry.rep.epoch.Store(epoch)
 	s.mu.Lock()
@@ -414,12 +381,10 @@ func (s *RegionServer) ApplyReplCheckpoint(regionID string, epoch, seq uint64) e
 	if !reset && seq <= rep.checkpoint.Load() && rep.lastSeq.Load() >= seq {
 		return nil // already anchored at or past this point
 	}
-	fresh, err := OpenRegion(s.fs, s.cache, e.r.Info)
+	fresh, err := s.loadRegion(e.r.Info, nil, false)
 	if err != nil {
 		return err
 	}
-	fresh.reclaim = s.cfg.Reclaim
-	fresh.stats = s.cfg.FileStats
 	var kept []ReplEntry
 	if !reset {
 		for _, en := range rep.tail {
@@ -453,63 +418,21 @@ func (s *RegionServer) ApplyReplCheckpoint(regionID string, epoch, seq uint64) e
 }
 
 // PromoteRegion flips this server's follower copy into the region's primary
-// at a strictly higher epoch (see ReplicaHost). The copy's retained tail and
-// position seed the shipper, so surviving followers resume from the new
-// primary's stream; the region stays recovering until the transactional
-// recovery gate (preOnline) completes, then goes online.
-func (s *RegionServer) PromoteRegion(regionID string, epoch uint64, leaseTTL time.Duration, preOnline func() error) error {
-	e, err := s.promoteStaged(regionID, epoch, leaseTTL)
-	if err != nil {
-		return err
-	}
-	if preOnline != nil {
-		if err := preOnline(); err != nil {
-			// Gate failure: drop the copy entirely; the master falls back
-			// to the log-split reassignment path on another server.
-			s.mu.Lock()
-			delete(s.regions, regionID)
-			s.mu.Unlock()
-			if s.repl != nil {
-				s.repl.DropRegion(regionID)
-			}
-			return fmt.Errorf("region %s promotion gate: %w", regionID, err)
-		}
-	}
-	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
-		return ErrServerStopped
-	}
-	e.online = true
-	s.mu.Unlock()
-	return nil
-}
-
-// PromoteRegionStaged is the first half of a wire-decomposed promotion: the
-// follower copy flips to primary at the new epoch, seeding the shipper with
-// its stream state, but stays recovering until MarkRegionOnline. internal/
-// rpc's host proxy runs the master-side recovery gate between the two calls
-// (it cannot cross the wire as a closure), mirroring the staged open path;
-// gate failure resolves the stage with CloseRegion instead.
-func (s *RegionServer) PromoteRegionStaged(regionID string, epoch uint64, leaseTTL time.Duration) error {
-	_, err := s.promoteStaged(regionID, epoch, leaseTTL)
-	return err
-}
-
-// promoteStaged performs the role flip of a promotion: epoch check, role and
-// lease install, and stream-state adoption into the shipper. The returned
-// entry is NOT yet online.
-func (s *RegionServer) promoteStaged(regionID string, epoch uint64, leaseTTL time.Duration) (*regionEntry, error) {
+// at a strictly higher epoch (see RegionHost): epoch check, role and lease
+// install, and stream-state adoption into the shipper, so surviving
+// followers resume from the new primary's stream. The region stays
+// recovering until MarkRegionOnline.
+func (s *RegionServer) PromoteRegion(regionID string, epoch uint64, leaseTTL time.Duration) error {
 	e, err := s.followerEntry(regionID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The copy's stream is journaled in this server's WAL, but a lagging
 	// follower may hold entries its last sync missed although T_P(s)
 	// already passed them. Once primary it is their only holder (the old
 	// primary's WAL is not split), so make them durable first.
 	if err := s.SyncWAL(); err != nil {
-		return nil, err
+		return err
 	}
 	rep := &e.rep
 	rep.mu.Lock()
@@ -517,7 +440,7 @@ func (s *RegionServer) promoteStaged(regionID string, epoch uint64, leaseTTL tim
 	if epoch <= cur {
 		rep.mu.Unlock()
 		s.replCounters.staleEpochRejects.Add(1)
-		return nil, fmt.Errorf("%w: promote %s at epoch %d <= %d", ErrStaleEpoch, regionID, epoch, cur)
+		return fmt.Errorf("%w: promote %s at epoch %d <= %d", ErrStaleEpoch, regionID, epoch, cur)
 	}
 	rep.epoch.Store(epoch)
 	rep.role.Store(int32(RolePrimary))
@@ -532,12 +455,12 @@ func (s *RegionServer) promoteStaged(regionID string, epoch uint64, leaseTTL tim
 		s.repl.AdoptRegion(regionID, epoch, lastSeq, checkpoint, tail)
 	}
 	s.replCounters.promotions.Add(1)
-	return e, nil
+	return nil
 }
 
 // SetReplication marks a hosted region as the replicated primary at the
 // given epoch, installs its follower set in the shipper, and grants/extends
-// its leader lease (see ReplicaHost).
+// its leader lease (see RegionHost).
 func (s *RegionServer) SetReplication(regionID string, epoch uint64, followers []ReplicaTarget, leaseTTL time.Duration) error {
 	e, ok := s.entryFor(regionID)
 	if !ok {
@@ -569,7 +492,7 @@ func (s *RegionServer) SetReplication(regionID string, epoch uint64, followers [
 }
 
 // RenewLeases extends the leader leases of this server's replicated
-// primaries (see ReplicaHost). A grant whose epoch does not match the copy's
+// primaries (see RegionHost). A grant whose epoch does not match the copy's
 // current epoch is ignored — it was issued for a deposed incarnation.
 func (s *RegionServer) RenewLeases(grants map[string]LeaseGrant) error {
 	s.mu.RLock()
@@ -588,7 +511,7 @@ func (s *RegionServer) RenewLeases(grants map[string]LeaseGrant) error {
 	return nil
 }
 
-// ReplicaPos reports a hosted copy's stream position (see ReplicaHost).
+// ReplicaPos reports a hosted copy's stream position (see RegionHost).
 // Works for both roles: followers report their applied position, primaries
 // report the shipper's assigned position.
 func (s *RegionServer) ReplicaPos(regionID string) (ReplicaPosition, error) {

@@ -178,16 +178,8 @@ func TestRollWALKeepsRecoveringRegionEdits(t *testing.T) {
 	split := []WALEntry{{RegionID: info.ID, KVs: []kv.KeyValue{
 		{Cell: kv.Cell{Row: "a", Column: "f", TS: 5}, Value: []byte("split")},
 	}}}
-	gate := make(chan struct{})
-	opened := make(chan error, 1)
-	go func() {
-		opened <- srv.OpenRegion(info, split, func() error { <-gate; return nil })
-	}()
-	for {
-		if _, ok := srv.entryFor(info.ID); ok {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if err := srv.OpenRegion(info, split, true); err != nil {
+		t.Fatal(err)
 	}
 	// The recovery manager's replay into the recovering region.
 	if err := srv.ApplyWriteSet(writeSet("rm", 6, "t", "b"), 0, true); err != nil {
@@ -201,8 +193,6 @@ func TestRollWALKeepsRecoveringRegionEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Crash()
-	close(gate)
-	<-opened
 
 	// What the next host would see: the region's store files plus the
 	// dead server's split WAL.

@@ -339,6 +339,19 @@ func (s *RegionServer) hostedRegions(includeRecovering bool) []*Region {
 	return out
 }
 
+// followerEntries returns the hosted follower copies.
+func (s *RegionServer) followerEntries() []*regionEntry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []*regionEntry
+	for _, e := range s.regions {
+		if e.rep.getRole() == RoleFollower {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // HostedRegionInfos returns the RegionInfo of every online region.
 func (s *RegionServer) HostedRegionInfos() []RegionInfo {
 	s.mu.RLock()
@@ -564,84 +577,72 @@ func (s *RegionServer) Get(table string, row kv.Key, column string, maxTS kv.Tim
 	return r.Get(row, column, maxTS)
 }
 
-// OpenRegion opens a region on this server: store files are recovered from
-// the DFS, recovered WAL edits (from the master's log split) are replayed,
-// and then — before the region is declared online — preOnline is awaited.
-// preOnline is the paper's recovery-manager gate; it is nil for fresh
-// assignments.
-func (s *RegionServer) OpenRegion(info RegionInfo, recoveredEdits []WALEntry, preOnline func() error) error {
-	s.mu.RLock()
-	crashed := s.crashed
-	s.mu.RUnlock()
-	if crashed {
-		return ErrServerStopped
-	}
-	r, err := OpenRegion(s.fs, s.cache, info)
-	if err != nil {
-		return err
-	}
-	return s.installRegion(r, info, recoveredEdits, preOnline)
+// OpenRegion opens a region on this server (see RegionHost): store files
+// are recovered from the DFS listing and the recovered WAL edits of a log
+// split are replayed. With recovering the region is hosted but not online:
+// only the recovery client's replays reach it until MarkRegionOnline.
+func (s *RegionServer) OpenRegion(info RegionInfo, recoveredEdits []WALEntry, recovering bool) error {
+	return s.openRegion(info, nil, false, recoveredEdits, recovering)
 }
 
 // OpenRegionFiles is OpenRegion with the store-file set given explicitly
 // instead of discovered by listing — the region-move path, where the
 // source's data directory can still hold retired files awaiting a reader
 // drain that must not become part of the new incarnation.
-func (s *RegionServer) OpenRegionFiles(info RegionInfo, files []string, recoveredEdits []WALEntry, preOnline func() error) error {
-	s.mu.RLock()
-	crashed := s.crashed
-	s.mu.RUnlock()
-	if crashed {
+func (s *RegionServer) OpenRegionFiles(info RegionInfo, files []string, recoveredEdits []WALEntry) error {
+	return s.openRegion(info, files, true, recoveredEdits, false)
+}
+
+func (s *RegionServer) openRegion(info RegionInfo, files []string, hasFiles bool, recoveredEdits []WALEntry, recovering bool) error {
+	if s.Crashed() {
 		return ErrServerStopped
 	}
-	r, err := OpenRegionFiles(s.fs, s.cache, info, files)
+	r, err := s.loadRegion(info, files, hasFiles)
 	if err != nil {
 		return err
 	}
-	return s.installRegion(r, info, recoveredEdits, preOnline)
-}
-
-func (s *RegionServer) installRegion(r *Region, info RegionInfo, recoveredEdits []WALEntry, preOnline func() error) error {
-	r.reclaim = s.cfg.Reclaim
-	r.stats = s.cfg.FileStats
 	// HBase-internal recovery: replay the split WAL edits into the fresh
 	// memstore.
 	for _, e := range recoveredEdits {
 		r.Apply(e.KVs)
 	}
-	// Recovery-manager gate: transactional recovery must complete before
-	// the region goes online (paper §3.2), otherwise clients could read
-	// partially recovered write-sets. The region is published in the
-	// recovering state first so the recovery client can replay into it,
-	// and before its edits are journaled so a WAL roll carries them.
-	entry := &regionEntry{r: r}
+	// The region is published before its edits are journaled, so a WAL
+	// roll carries them.
 	s.mu.Lock()
 	if s.crashed {
 		s.mu.Unlock()
 		return ErrServerStopped
 	}
-	s.regions[info.ID] = entry
+	s.regions[info.ID] = &regionEntry{r: r}
 	s.mu.Unlock()
-	err := s.journalRecoveredEdits(recoveredEdits)
-	if err == nil && preOnline != nil {
-		if err = preOnline(); err != nil {
-			err = fmt.Errorf("region %s recovery gate: %w", info.ID, err)
-		}
-	}
-	if err != nil {
-		s.mu.Lock()
-		delete(s.regions, info.ID)
-		s.mu.Unlock()
+	if err := s.journalRecoveredEdits(recoveredEdits); err != nil {
+		s.CloseRegion(info.ID)
 		return err
 	}
-	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
-		return ErrServerStopped
+	if recovering {
+		return nil
 	}
-	entry.online = true
-	s.mu.Unlock()
-	return nil
+	return s.MarkRegionOnline(info.ID)
+}
+
+// loadRegion opens a region's store files, from the DFS listing or, with
+// hasFiles, from files, wired to this server's counters.
+func (s *RegionServer) loadRegion(info RegionInfo, files []string, hasFiles bool) (*Region, error) {
+	var (
+		r   *Region
+		err error
+	)
+	if hasFiles {
+		r, err = OpenRegionFiles(s.fs, s.cache, info, files)
+	} else {
+		r, err = OpenRegion(s.fs, s.cache, info)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.reclaim = s.cfg.Reclaim
+	r.stats = s.cfg.FileStats
+	return r, nil
 }
 
 // journalRecoveredEdits makes a recovering region's split-WAL edits durable
@@ -662,58 +663,8 @@ func (s *RegionServer) journalRecoveredEdits(edits []WALEntry) error {
 	return s.SyncWAL()
 }
 
-// OpenRegionRecovering is the first half of a staged region open: the
-// region is installed in the recovering (not online) state and stays there
-// until MarkRegionOnline. It exists for the wire protocol, where the
-// master-side recovery gate cannot run inside this process: internal/rpc's
-// host proxy opens the region recovering, the recovery manager replays
-// committed write-sets into it via ApplyWriteSet, and a final MarkRegionOnline
-// (or CloseRegion, on gate failure) resolves the stage. files, when hasFiles,
-// pins the store-file set explicitly (the region-move path); otherwise the
-// set is discovered by listing the region's data directory.
-func (s *RegionServer) OpenRegionRecovering(info RegionInfo, files []string, hasFiles bool, recoveredEdits []WALEntry) error {
-	s.mu.RLock()
-	crashed := s.crashed
-	s.mu.RUnlock()
-	if crashed {
-		return ErrServerStopped
-	}
-	var (
-		r   *Region
-		err error
-	)
-	if hasFiles {
-		r, err = OpenRegionFiles(s.fs, s.cache, info, files)
-	} else {
-		r, err = OpenRegion(s.fs, s.cache, info)
-	}
-	if err != nil {
-		return err
-	}
-	r.reclaim = s.cfg.Reclaim
-	r.stats = s.cfg.FileStats
-	for _, e := range recoveredEdits {
-		r.Apply(e.KVs)
-	}
-	// Published before the journal write, as in installRegion.
-	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
-		return ErrServerStopped
-	}
-	s.regions[info.ID] = &regionEntry{r: r}
-	s.mu.Unlock()
-	if err := s.journalRecoveredEdits(recoveredEdits); err != nil {
-		s.mu.Lock()
-		delete(s.regions, info.ID)
-		s.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// MarkRegionOnline completes a staged open: the recovering region starts
-// serving.
+// MarkRegionOnline completes a recovering open or promotion: the region
+// starts serving.
 func (s *RegionServer) MarkRegionOnline(regionID string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -894,6 +845,24 @@ func (s *RegionServer) RollWAL() error {
 		}
 		carried = true
 		s.cfg.Reclaim.AddFlushesSkipped(1)
+	}
+	// Follower copies journal the replicated stream too, and the entries
+	// above their last checkpoint are in no store file: carry them as well,
+	// or a promoted follower's later crash would find them in no WAL.
+	for _, e := range s.followerEntries() {
+		e.rep.mu.Lock()
+		var kvs []kv.KeyValue
+		for _, en := range e.rep.tail {
+			kvs = append(kvs, en.KVs...)
+		}
+		e.rep.mu.Unlock()
+		if len(kvs) == 0 {
+			continue
+		}
+		if err := s.appendWALEntry(WALEntry{RegionID: e.r.Info.ID, KVs: kvs}); err != nil {
+			return err
+		}
+		carried = true
 	}
 	// Carried edits must be durable in the new generation before the old
 	// ones — until now their only durable copy — can go.

@@ -51,7 +51,7 @@ func TestServerOperationsAfterCrash(t *testing.T) {
 	if err := srv.SyncWAL(); !errors.Is(err, ErrServerStopped) {
 		t.Fatalf("sync after crash: %v", err)
 	}
-	if err := srv.OpenRegion(RegionInfo{ID: "x", Table: "t"}, nil, nil); !errors.Is(err, ErrServerStopped) {
+	if err := srv.OpenRegion(RegionInfo{ID: "x", Table: "t"}, nil, false); !errors.Is(err, ErrServerStopped) {
 		t.Fatalf("open after crash: %v", err)
 	}
 	if _, err := srv.CloseAndFlushRegion("anything"); !errors.Is(err, ErrServerStopped) {

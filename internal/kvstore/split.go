@@ -118,7 +118,7 @@ func (m *Master) SplitRegion(regionID string, splitKey kv.Key) error {
 
 	// Open the daughters on the same host, then publish the new metadata.
 	for _, d := range []RegionInfo{left, right} {
-		if err := src.host.OpenRegion(d, nil, nil); err != nil {
+		if err := src.host.OpenRegion(d, nil, false); err != nil {
 			restoreParent()
 			return fmt.Errorf("split %s: open %s: %w", parent.ID, d.ID, err)
 		}

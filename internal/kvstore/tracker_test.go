@@ -256,7 +256,7 @@ func TestReplayReportNotOverwrittenByStaleBeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Stop()
-	if err := srv.OpenRegion(RegionInfo{ID: "t.r0", Table: "t"}, nil, nil); err != nil {
+	if err := srv.OpenRegion(RegionInfo{ID: "t.r0", Table: "t"}, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	// Learn T_F = 50 and persist: T_P(s) = 50.

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"sync/atomic"
+	"time"
 
 	"txkv/internal/kv"
 	"txkv/internal/netsim"
@@ -215,19 +216,50 @@ type HeartbeatSink interface {
 }
 
 // RegionHost is the master's handle to one region server — the surface
-// region assignment, splitting, moving, and failure recovery drive.
-// *RegionServer implements it directly for in-process servers; internal/
-// rpc's host proxy implements it for region-server processes (decomposing
-// the preOnline closure into explicit open-recovering / replay / mark-
-// online steps over the wire).
+// region assignment, splitting, moving, replication, and failure recovery
+// drive. *RegionServer implements it for in-process servers; internal/rpc's
+// host proxy implements it for region-server processes, one request per
+// method.
+//
+// Recovery runs the same sequence on both: the master opens or promotes
+// the copy recovering (hosted, not serving), its recovery gate replays the
+// committed write-sets into it through ApplyWriteSet, and MarkRegionOnline
+// — or CloseRegion, if the gate fails — resolves the stage.
 type RegionHost interface {
 	ID() string
-	OpenRegion(info RegionInfo, recoveredEdits []WALEntry, preOnline func() error) error
-	OpenRegionFiles(info RegionInfo, files []string, recoveredEdits []WALEntry, preOnline func() error) error
+	// OpenRegion opens a region from its DFS store files plus the recovered
+	// WAL edits of a log split. With recovering the copy stays hosted but
+	// not serving until MarkRegionOnline.
+	OpenRegion(info RegionInfo, recoveredEdits []WALEntry, recovering bool) error
+	// OpenRegionFiles opens a region serving, with its store-file set given
+	// explicitly — the region-move path, which is never gated.
+	OpenRegionFiles(info RegionInfo, files []string, recoveredEdits []WALEntry) error
+	// MarkRegionOnline starts a recovering copy serving.
+	MarkRegionOnline(regionID string) error
 	CloseRegion(regionID string)
 	CloseAndFlushRegion(regionID string) ([]string, error)
 	// ApplyWriteSet is the recovery-replay entry point (paper Alg. 4): the
 	// recovery manager re-delivers committed write-sets into a recovering
 	// region, with the failed server's frozen T_P piggybacked.
 	ApplyWriteSet(ws kv.WriteSet, piggy kv.Timestamp, hasPiggy bool) error
+
+	// OpenRegionFollower opens a follower copy: store files from the DFS
+	// listing, an empty memstore, role follower at the given epoch. The
+	// primary's first checkpoint message re-anchors it before any entries
+	// flow, so a stale listing here is harmless.
+	OpenRegionFollower(info RegionInfo, epoch uint64) error
+	// SetReplication marks a hosted region as the primary at the given
+	// epoch with the given follower set, and grants/extends its leader
+	// lease.
+	SetReplication(regionID string, epoch uint64, followers []ReplicaTarget, leaseTTL time.Duration) error
+	// RenewLeases extends the leader leases of the regions this server
+	// primaries (batched: one call per server per master tick).
+	RenewLeases(grants map[string]LeaseGrant) error
+	// PromoteRegion flips a follower copy into the region's primary at a
+	// strictly higher epoch. The copy stays recovering until
+	// MarkRegionOnline.
+	PromoteRegion(regionID string, epoch uint64, leaseTTL time.Duration) error
+	// ReplicaPos reports a hosted copy's stream position (re-election
+	// input).
+	ReplicaPos(regionID string) (ReplicaPosition, error)
 }

@@ -3,7 +3,7 @@
 // follower set, majority-quorum ack accounting, retained-log pruning at
 // flush checkpoints, follower re-anchoring, and epoch fencing. One Shipper
 // serves one region server (all the regions it primaries); the master
-// drives membership through kvstore's ReplicaHost surface, which forwards
+// drives membership through kvstore's RegionHost surface, which forwards
 // here via the kvstore.Replicator interface.
 //
 // Invariants:

@@ -99,7 +99,7 @@ func FuzzMessageDecoders(f *testing.F) {
 		_, _, _, _, _ = decSetReplicationReq(data)
 		_, _, _, _, _, _ = decAppendEntriesReq(data)
 		_, _, _, _ = decAppendEntriesResp(data)
-		_, _, _, _, _ = decPromoteReq(data)
+		_, _, _, _ = decPromoteReq(data)
 		_, _ = decReplicaPos(data)
 		_, _, _ = decOpenFollowerReq(data)
 		_, _, _, _ = decCheckpointReq(data)

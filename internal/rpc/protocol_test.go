@@ -356,9 +356,9 @@ func TestProtocolRoundTrips(t *testing.T) {
 
 	t.Run("Promote", func(t *testing.T) {
 		covers(RPromote)
-		id, epoch, ttl, staged, err := decPromoteReq(encPromoteReq("t.r1", 8, time.Second, true))
-		if err != nil || id != "t.r1" || epoch != 8 || ttl != time.Second || !staged {
-			t.Fatalf("got %q %d %v %v, %v", id, epoch, ttl, staged, err)
+		id, epoch, ttl, err := decPromoteReq(encPromoteReq("t.r1", 8, time.Second))
+		if err != nil || id != "t.r1" || epoch != 8 || ttl != time.Second {
+			t.Fatalf("got %q %d %v, %v", id, epoch, ttl, err)
 		}
 	})
 

@@ -61,16 +61,10 @@ func RegisterRegionService(s *Server, rs *kvstore.RegionServer) {
 		if err != nil {
 			return nil, err
 		}
-		if recovering {
-			return nil, rs.OpenRegionRecovering(info, files, hasFiles, edits)
+		if hasFiles {
+			return nil, rs.OpenRegionFiles(info, files, edits)
 		}
-		open := func() error {
-			if hasFiles {
-				return rs.OpenRegionFiles(info, files, edits, nil)
-			}
-			return rs.OpenRegion(info, edits, nil)
-		}
-		return nil, open()
+		return nil, rs.OpenRegion(info, edits, recovering)
 	})
 	s.Handle(RMarkOnline, func(_ context.Context, _ *Session, body []byte) ([]byte, error) {
 		id, err := decStringMsg(body)
@@ -129,14 +123,11 @@ func registerReplicationService(s *Server, rs *kvstore.RegionServer) {
 		return encAppendEntriesResp(last, 0, ""), nil
 	})
 	s.Handle(RPromote, func(_ context.Context, _ *Session, body []byte) ([]byte, error) {
-		regionID, epoch, ttl, staged, err := decPromoteReq(body)
+		regionID, epoch, ttl, err := decPromoteReq(body)
 		if err != nil {
 			return nil, err
 		}
-		if staged {
-			return nil, rs.PromoteRegionStaged(regionID, epoch, ttl)
-		}
-		return nil, rs.PromoteRegion(regionID, epoch, ttl, nil)
+		return nil, rs.PromoteRegion(regionID, epoch, ttl)
 	})
 	s.Handle(RReplicaPos, func(_ context.Context, _ *Session, body []byte) ([]byte, error) {
 		regionID, err := decStringMsg(body)
@@ -221,13 +212,10 @@ func (e *Endpoint) Apply(ctx context.Context, ws kv.WriteSet, piggy kv.Timestamp
 }
 
 // HostProxy is the master's handle to a region-server process: the remote
-// implementation of kvstore.RegionHost. The in-process API's preOnline
-// closure (run after the region opens, before it goes online — the paper's
-// recovery gate) cannot cross the wire, so the proxy decomposes it into
-// explicit steps: open-recovering (region hosted but not serving), run the
-// gate locally in the master (its replay lands through ApplyWriteSet calls
-// back to the same process), then mark-online — or close the region again
-// if the gate fails.
+// implementation of kvstore.RegionHost, one request per method. The master
+// runs the recovery gate itself, between the ROpenRegion or RPromote that
+// leaves a copy recovering and the RMarkOnline that starts it serving; the
+// gate's replays reach the same process through ApplyWriteSet.
 type HostProxy struct {
 	pool *Pool
 	id   string
@@ -245,28 +233,18 @@ func (h *HostProxy) ID() string { return h.id }
 // Addr returns the remote server's advertised address.
 func (h *HostProxy) Addr() string { return h.addr }
 
-func (h *HostProxy) OpenRegion(info kvstore.RegionInfo, recoveredEdits []kvstore.WALEntry, preOnline func() error) error {
-	return h.open(info, nil, false, recoveredEdits, preOnline)
+func (h *HostProxy) OpenRegion(info kvstore.RegionInfo, recoveredEdits []kvstore.WALEntry, recovering bool) error {
+	_, err := h.pool.Call(context.Background(), h.addr, ROpenRegion, encOpenRegionReq(info, nil, false, recoveredEdits, recovering))
+	return err
 }
 
-func (h *HostProxy) OpenRegionFiles(info kvstore.RegionInfo, files []string, recoveredEdits []kvstore.WALEntry, preOnline func() error) error {
-	return h.open(info, files, true, recoveredEdits, preOnline)
+func (h *HostProxy) OpenRegionFiles(info kvstore.RegionInfo, files []string, recoveredEdits []kvstore.WALEntry) error {
+	_, err := h.pool.Call(context.Background(), h.addr, ROpenRegion, encOpenRegionReq(info, files, true, recoveredEdits, false))
+	return err
 }
 
-func (h *HostProxy) open(info kvstore.RegionInfo, files []string, hasFiles bool, edits []kvstore.WALEntry, preOnline func() error) error {
-	ctx := context.Background()
-	if preOnline == nil {
-		_, err := h.pool.Call(ctx, h.addr, ROpenRegion, encOpenRegionReq(info, files, hasFiles, edits, false))
-		return err
-	}
-	if _, err := h.pool.Call(ctx, h.addr, ROpenRegion, encOpenRegionReq(info, files, hasFiles, edits, true)); err != nil {
-		return err
-	}
-	if err := preOnline(); err != nil {
-		h.CloseRegion(info.ID) // gate failed: do not leave a half-open region
-		return err
-	}
-	_, err := h.pool.Call(ctx, h.addr, RMarkOnline, encStringMsg(info.ID))
+func (h *HostProxy) MarkRegionOnline(regionID string) error {
+	_, err := h.pool.Call(context.Background(), h.addr, RMarkOnline, encStringMsg(regionID))
 	return err
 }
 
@@ -287,14 +265,6 @@ func (h *HostProxy) ApplyWriteSet(ws kv.WriteSet, piggy kv.Timestamp, hasPiggy b
 	return err
 }
 
-// --- replica host surface ---
-
-// HostProxy also implements kvstore.ReplicaHost, so the master drives
-// replica groups on remote processes through the same handle it assigns
-// regions with. PromoteRegion's preOnline gate gets the same decomposition
-// as open(): promote-staged (role flipped, WAL adopted, still offline), run
-// the gate in the master, then mark-online — or close on gate failure.
-
 func (h *HostProxy) OpenRegionFollower(info kvstore.RegionInfo, epoch uint64) error {
 	_, err := h.pool.Call(context.Background(), h.addr, ROpenFollower, encOpenFollowerReq(info, epoch))
 	return err
@@ -312,20 +282,8 @@ func (h *HostProxy) RenewLeases(grants map[string]kvstore.LeaseGrant) error {
 	return err
 }
 
-func (h *HostProxy) PromoteRegion(regionID string, epoch uint64, leaseTTL time.Duration, preOnline func() error) error {
-	ctx := context.Background()
-	if preOnline == nil {
-		_, err := h.pool.Call(ctx, h.addr, RPromote, encPromoteReq(regionID, epoch, leaseTTL, false))
-		return err
-	}
-	if _, err := h.pool.Call(ctx, h.addr, RPromote, encPromoteReq(regionID, epoch, leaseTTL, true)); err != nil {
-		return err
-	}
-	if err := preOnline(); err != nil {
-		h.CloseRegion(regionID) // gate failed: do not leave a promoted-but-dark region
-		return err
-	}
-	_, err := h.pool.Call(ctx, h.addr, RMarkOnline, encStringMsg(regionID))
+func (h *HostProxy) PromoteRegion(regionID string, epoch uint64, leaseTTL time.Duration) error {
+	_, err := h.pool.Call(context.Background(), h.addr, RPromote, encPromoteReq(regionID, epoch, leaseTTL))
 	return err
 }
 

@@ -672,20 +672,18 @@ func decAppendEntriesResp(b []byte) (uint64, ErrorCode, string, error) {
 	return lastSeq, code, msg, d.err
 }
 
-func encPromoteReq(regionID string, epoch uint64, ttl time.Duration, staged bool) []byte {
+func encPromoteReq(regionID string, epoch uint64, ttl time.Duration) []byte {
 	b := appendString(nil, regionID)
 	b = appendUvarint(b, epoch)
-	b = appendUvarint(b, uint64(ttl))
-	return appendBool(b, staged)
+	return appendUvarint(b, uint64(ttl))
 }
 
-func decPromoteReq(b []byte) (regionID string, epoch uint64, ttl time.Duration, staged bool, err error) {
+func decPromoteReq(b []byte) (regionID string, epoch uint64, ttl time.Duration, err error) {
 	d := newDec(b)
 	regionID = d.str()
 	epoch = d.uvarint()
 	ttl = time.Duration(d.uvarint())
-	staged = d.bool()
-	return regionID, epoch, ttl, staged, d.err
+	return regionID, epoch, ttl, d.err
 }
 
 func encReplicaPos(pos kvstore.ReplicaPosition) []byte {
