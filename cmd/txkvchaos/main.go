@@ -298,10 +298,10 @@ func main() {
 
 	fmt.Printf("campaign done: %d committed, %d conflicts, %d server crashes, %d RM bounces (%d obs checks passed)\n",
 		committed, conflicts, crashes, rmBounces, faults+2)
-	if rc := cluster.ReclaimStats(); rc.Compactions > 0 {
+	if rc := cluster.Obs().Snapshot().Counters; rc["reclaim.compactions"] > 0 {
 		size, _ := cluster.DataDirBytes()
 		fmt.Printf("reclamation: %d passes, %d store files retired (%d logical bytes), %d segments dropped (%d physical bytes reclaimed); datadir now %d bytes\n",
-			rc.Compactions, rc.FilesRetired, rc.BytesRetired, rc.SegmentsDropped, rc.BytesReclaimed, size)
+			rc["reclaim.compactions"], rc["reclaim.files_retired"], rc["reclaim.bytes_retired"], rc["reclaim.segments_dropped"], rc["reclaim.bytes_reclaimed"], size)
 	}
 
 	// With a data directory, the real test: stop the whole process-local

@@ -10,7 +10,6 @@ import (
 	"txkv/internal/core"
 	"txkv/internal/kv"
 	"txkv/internal/kvstore"
-	"txkv/internal/metrics"
 	"txkv/internal/obs"
 	"txkv/internal/txmgr"
 )
@@ -44,8 +43,8 @@ type Client struct {
 	cancel  context.CancelFunc
 	flushWG sync.WaitGroup
 
-	updateCommits metrics.Counter // transactions committed via Update
-	updateRetries metrics.Counter // conflict retries Update performed
+	updateCommits obs.Counter // transactions committed via Update
+	updateRetries obs.Counter // conflict retries Update performed
 
 	mu     sync.Mutex
 	closed bool
@@ -75,7 +74,7 @@ func (c *Cluster) NewClient(id string) (*Client, error) {
 		cluster: c,
 		kv: kvstore.NewClient(kvstore.ClientConfig{
 			ID:            id,
-			Obs:           c.clientObs,
+			Registry:      c.obs,
 			FollowerReads: c.cfg.FollowerReads,
 		}, c.net, c.master),
 		ctx:    ctx,

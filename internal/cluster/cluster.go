@@ -21,7 +21,6 @@ import (
 	"txkv/internal/dfs"
 	"txkv/internal/kv"
 	"txkv/internal/kvstore"
-	"txkv/internal/metrics"
 	"txkv/internal/netsim"
 	"txkv/internal/obs"
 	"txkv/internal/replica"
@@ -132,7 +131,7 @@ type Config struct {
 	// threshold: a WAL roll skips flushing regions whose in-memory state
 	// is smaller, carrying their edits into the fresh WAL generation
 	// instead of writing a tiny store file per mostly-idle region per
-	// pass. ReclaimStats().FlushesSkipped counts the skips. Zero flushes
+	// pass. The reclaim.flushes_skipped counter counts the skips. Zero flushes
 	// every region on each roll (the conservative default).
 	RollFlushMinBytes int
 	// CompactionInterval, when non-zero, runs the storage janitor on this
@@ -235,19 +234,17 @@ type Cluster struct {
 	layoutLog *storage.Log     // nil without persistence
 	dirLock   *storage.DirLock // nil without persistence
 
-	reclaim     *metrics.ReclaimMetrics // shared by the DFS and every region server
-	fileStats   *kvstore.FileStats      // shared by every region server (bloom/compression counters)
-	janitorStop chan struct{}           // non-nil while the janitor runs
+	janitorStop chan struct{} // non-nil while the janitor runs
 	janitorWG   sync.WaitGroup
 
-	obs       *obs.Registry
-	tracer    *obs.Tracer
-	serverObs *kvstore.ServerObs // shared instruments handed to every region server
-	clientObs *kvstore.ClientObs // shared instruments handed to every routing client
+	// obs is the cluster's one registry: the DFS, the log, every region
+	// server, shipper and routing client record into it.
+	obs    *obs.Registry
+	tracer *obs.Tracer
 	// Cluster-wide managed-retry counters: shared across client handles so
 	// the exported totals stay monotonic when chaos churns clients.
-	updateCommitsTotal *metrics.Counter
-	updateRetriesTotal *metrics.Counter
+	updateCommitsTotal *obs.Counter
+	updateRetriesTotal *obs.Counter
 
 	mu         sync.Mutex
 	rpcSrv     *rpc.Server            // non-nil while serving the wire protocol
@@ -263,14 +260,6 @@ type Cluster struct {
 	clientSeq  int
 	serverSeq  int
 	stopped    bool
-	// Block-cache counters of server incarnations replaced by AddServer
-	// reusing an ID: folded in so the exported cache totals stay
-	// monotonic across crash/re-add cycles.
-	cacheHitsRetired   int64
-	cacheMissesRetired int64
-	// Same treatment for the replication counters of retired incarnations.
-	replShipperRetired replica.Stats
-	replServerRetired  kvstore.ReplServerStats
 }
 
 // rmProxy is a stable indirection to the current recovery manager: the
@@ -324,7 +313,6 @@ func (p *rmProxy) OnServerRecoveryComplete(serverID string) {
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 
-	reclaim := &metrics.ReclaimMetrics{}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.TracerConfig{
 		Enabled:       cfg.Tracing,
@@ -368,7 +356,7 @@ func New(cfg Config) (*Cluster, error) {
 		SyncLatency: cfg.DFSSyncLatency,
 		ReadLatency: cfg.DFSReadLatency,
 		OpenLog:     dfsOpenLog,
-		Reclaim:     reclaim,
+		Registry:    reg,
 	})
 	if err != nil {
 		if layoutLog != nil {
@@ -378,11 +366,10 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	log, err := txlog.Open(txlog.Config{
-		SyncLatency:   cfg.LogSyncLatency,
-		Backend:       txBackend,
-		SegmentBytes:  cfg.StorageSegmentBytes,
-		SyncHist:      reg.Histogram("txlog.sync"),
-		SyncBatchSize: reg.Histogram("txlog.sync_batch"),
+		SyncLatency:  cfg.LogSyncLatency,
+		Backend:      txBackend,
+		SegmentBytes: cfg.StorageSegmentBytes,
+		Registry:     reg,
 	})
 	if err != nil {
 		if layoutLog != nil {
@@ -404,30 +391,11 @@ func New(cfg Config) (*Cluster, error) {
 		log:       log,
 		layoutLog: layoutLog,
 		dirLock:   dirLock,
-		reclaim:   reclaim,
-		fileStats: &kvstore.FileStats{},
 		obs:       reg,
 		tracer:    tracer,
 		servers:   make(map[string]*serverUnit),
 		clients:   make(map[string]*Client),
 		gate:      &rmProxy{},
-	}
-	c.serverObs = &kvstore.ServerObs{
-		AppliedWriteSets: reg.Counter("server.applied_writesets"),
-		AppliedCells:     reg.Counter("server.applied_cells"),
-		ApplyLatency:     reg.Histogram("commit.apply"),
-		ScanPages:        reg.Counter("server.scan_pages"),
-		ScanPageLatency:  reg.Histogram("scan.page"),
-	}
-	c.clientObs = &kvstore.ClientObs{
-		MasterLookups:     reg.Counter("client.master_lookups"),
-		LayoutHits:        reg.Counter("client.layout_hits"),
-		LayoutMisses:      reg.Counter("client.layout_misses"),
-		Gets:              reg.Counter("client.gets"),
-		GetRetries:        reg.Counter("client.get_retries"),
-		FlushRetries:      reg.Counter("client.flush_retries"),
-		ScanBatches:       reg.Counter("client.scan_batches"),
-		ScanContinuations: reg.Counter("client.scan_continuations"),
 	}
 	c.updateCommitsTotal = reg.Counter("txn.update_commits")
 	c.updateRetriesTotal = reg.Counter("txn.update_retries")
@@ -505,10 +473,10 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// registerPullMetrics exposes the subsystems that already keep cumulative
-// counters (transaction manager, recovery log, reclamation, caches) through
-// the registry as pull-style metrics, so the existing Stats() structs and
-// /metrics read the same numbers without double bookkeeping.
+// registerPullMetrics exposes, as pull-style metrics, the state that has
+// one source in the cluster (transaction manager, recovery log, watch hub)
+// and the levels summed over the live servers. Every counter of the
+// servers, shippers, clients and the DFS is a registry instrument already.
 func (c *Cluster) registerPullMetrics() {
 	reg := c.obs
 	reg.CounterFunc("txmgr.commits", func() int64 {
@@ -531,21 +499,12 @@ func (c *Cluster) registerPullMetrics() {
 	reg.GaugeFunc("txlog.durable_bytes", func() int64 { return c.log.Stats().DurableBytes })
 	reg.GaugeFunc("txlog.segments", func() int64 { return int64(c.log.Stats().Segments) })
 
-	reg.CounterFunc("reclaim.bytes_reclaimed", func() int64 { return c.reclaim.Snapshot().BytesReclaimed })
-	reg.CounterFunc("reclaim.bytes_retired", func() int64 { return c.reclaim.Snapshot().BytesRetired })
-	reg.CounterFunc("reclaim.files_retired", func() int64 { return c.reclaim.Snapshot().FilesRetired })
-	reg.CounterFunc("reclaim.segments_dropped", func() int64 { return c.reclaim.Snapshot().SegmentsDropped })
-	reg.CounterFunc("reclaim.compactions", func() int64 { return c.reclaim.Snapshot().Compactions })
-	reg.CounterFunc("reclaim.flushes_skipped", func() int64 { return c.reclaim.Snapshot().FlushesSkipped })
-
 	reg.GaugeFunc("cluster.live_servers", func() int64 { return int64(len(c.master.LiveServers())) })
 	reg.GaugeFunc("cluster.clients", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return int64(len(c.clients))
 	})
-	reg.CounterFunc("blockcache.hits", func() int64 { h, _ := c.cacheTotals(); return h })
-	reg.CounterFunc("blockcache.misses", func() int64 { _, m := c.cacheTotals(); return m })
 	reg.GaugeFunc("blockcache.used_bytes", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -557,8 +516,9 @@ func (c *Cluster) registerPullMetrics() {
 		}
 		return used
 	})
+	hits, misses := reg.Counter("blockcache.hits"), reg.Counter("blockcache.misses")
 	reg.GaugeFunc("blockcache.hit_rate_pct", func() int64 {
-		h, m := c.cacheTotals()
+		h, m := hits.Load(), misses.Load()
 		if h+m == 0 {
 			return 0
 		}
@@ -577,37 +537,6 @@ func (c *Cluster) registerPullMetrics() {
 	reg.CounterFunc("watch.lag_cancels", func() int64 { return c.hub.Stats().LagCancels })
 	reg.CounterFunc("watch.horizon_failures", func() int64 { return c.hub.Stats().HorizonFailures })
 	reg.CounterFunc("watch.opened", func() int64 { return c.hub.Stats().Opened })
-
-	// Store-file format v2 effectiveness: bloom outcomes on the read path,
-	// block bytes before/after compression on the write path. The FileStats
-	// struct is shared by every server incarnation (like reclaim), so these
-	// stay monotonic across crashes and region moves.
-	reg.CounterFunc("bloom.probes_total", func() int64 { return c.fileStats.BloomProbes.Load() })
-	reg.CounterFunc("bloom.negatives_total", func() int64 { return c.fileStats.BloomNegatives.Load() })
-	reg.CounterFunc("bloom.false_positives_total", func() int64 { return c.fileStats.BloomFalsePositives.Load() })
-	reg.CounterFunc("block.compressed_bytes_total", func() int64 { return c.fileStats.BlockCompressedBytes.Load() })
-	reg.CounterFunc("block.uncompressed_bytes_total", func() int64 { return c.fileStats.BlockUncompressedBytes.Load() })
-}
-
-// cacheTotals sums block-cache hit/miss counters across every server
-// incarnation ever added (live, crashed, and replaced), keeping the
-// exported totals monotonic.
-func (c *Cluster) cacheTotals() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	hits, misses = c.cacheHitsRetired, c.cacheMissesRetired
-	for _, u := range c.servers {
-		h, m := u.srv.Cache().Stats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
-}
-
-// FileStats snapshots the cluster-wide store-file effectiveness counters
-// (bloom outcomes, block compression bytes).
-func (c *Cluster) FileStats() kvstore.FileStatsSnapshot {
-	return c.fileStats.Snapshot()
 }
 
 // Obs returns the cluster's metric registry.
@@ -677,8 +606,8 @@ func Reopen(cfg Config) (*Cluster, error) {
 func (c *Cluster) newRecoveryManager() *core.Manager {
 	c.rmEpoch++
 	rc := kvstore.NewClient(kvstore.ClientConfig{
-		ID:  fmt.Sprintf("recovery-client-%d", c.rmEpoch),
-		Obs: c.clientObs,
+		ID:       fmt.Sprintf("recovery-client-%d", c.rmEpoch),
+		Registry: c.obs,
 	}, c.net, c.master)
 	// Field access without c.mu: New calls this before the cluster is
 	// shared, RestartRecoveryManager calls it with c.mu held.
@@ -728,9 +657,7 @@ func (c *Cluster) AddServer() (string, error) {
 		CompactionThreshold: c.cfg.CompactionThreshold,
 		RollFlushMinBytes:   c.cfg.RollFlushMinBytes,
 		HorizonSource:       c.tm.SafeSnapshot,
-		Reclaim:             c.reclaim,
-		FileStats:           c.fileStats,
-		Obs:                 c.serverObs,
+		Registry:            c.obs,
 	}, c.fs)
 
 	unit := &serverUnit{srv: srv, shipper: c.newShipper(id)}
@@ -739,34 +666,6 @@ func (c *Cluster) AddServer() (string, error) {
 		return "", err
 	}
 	c.mu.Lock()
-	if old, ok := c.servers[id]; ok {
-		// Replacing a crashed incarnation: fold its frozen cache counters
-		// into the retired totals so the exported sums never go backwards.
-		h, m := old.srv.Cache().Stats()
-		c.cacheHitsRetired += h
-		c.cacheMissesRetired += m
-		if old.shipper != nil {
-			old.shipper.Close()
-			st := old.shipper.Stats()
-			c.replShipperRetired.ShippedBatches += st.ShippedBatches
-			c.replShipperRetired.ShippedEntries += st.ShippedEntries
-			c.replShipperRetired.ShippedBytes += st.ShippedBytes
-			c.replShipperRetired.Heartbeats += st.Heartbeats
-			c.replShipperRetired.Checkpoints += st.Checkpoints
-			c.replShipperRetired.SendErrors += st.SendErrors
-			c.replShipperRetired.QuorumTimeouts += st.QuorumTimeouts
-			c.replShipperRetired.RegionsFenced += st.RegionsFenced
-		}
-		rs := old.srv.ReplStats()
-		c.replServerRetired.Appends += rs.Appends
-		c.replServerRetired.EntriesApplied += rs.EntriesApplied
-		c.replServerRetired.Checkpoints += rs.Checkpoints
-		c.replServerRetired.Promotions += rs.Promotions
-		c.replServerRetired.StaleEpochRejects += rs.StaleEpochRejects
-		c.replServerRetired.FollowerReads += rs.FollowerReads
-		c.replServerRetired.FollowerRejects += rs.FollowerRejects
-		c.replServerRetired.LeaseRejects += rs.LeaseRejects
-	}
 	c.servers[id] = unit
 	c.serverIDs = append(c.serverIDs, id)
 	c.mu.Unlock()
@@ -972,7 +871,7 @@ type ClusterStats struct {
 	RegionsRecovered  int
 	WriteSetsReplayed int
 	LiveServers       int
-	// Space reclamation (see ReclaimStats for the full snapshot).
+	// Space reclamation (the reclaim.* counters hold the rest).
 	BytesReclaimed int64
 	FilesRetired   int64
 }
@@ -987,9 +886,8 @@ func (c *Cluster) Stats() ClusterStats {
 	s.LogDurableBytes = ls.DurableBytes
 	s.LogTruncated = ls.TruncatedRecords
 	s.LiveServers = len(c.master.LiveServers())
-	rc := c.reclaim.Snapshot()
-	s.BytesReclaimed = rc.BytesReclaimed
-	s.FilesRetired = rc.FilesRetired
+	s.BytesReclaimed = c.obs.Counter("reclaim.bytes_reclaimed").Load()
+	s.FilesRetired = c.obs.Counter("reclaim.files_retired").Load()
 	c.mu.Lock()
 	rm := c.rm
 	c.mu.Unlock()

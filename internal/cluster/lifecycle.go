@@ -8,7 +8,6 @@ import (
 
 	"txkv/internal/dfs"
 	"txkv/internal/kvstore"
-	"txkv/internal/metrics"
 )
 
 // Resource lifecycle: the cluster-level entry points of the space
@@ -115,12 +114,6 @@ func (c *Cluster) janitorLoop() {
 			c.obs.Histogram("janitor.pass").Record(time.Since(passStart))
 		}
 	}
-}
-
-// ReclaimStats returns the cumulative space-reclamation counters (bytes
-// reclaimed, files retired, segments dropped, passes completed).
-func (c *Cluster) ReclaimStats() metrics.ReclaimSnapshot {
-	return c.reclaim.Snapshot()
 }
 
 // DataDirBytes returns the total size of the cluster's data directory, the

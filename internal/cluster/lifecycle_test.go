@@ -69,8 +69,8 @@ func TestReclaimStorageRoundTripsThroughReopen(t *testing.T) {
 	if after >= before {
 		t.Fatalf("DataDir did not shrink: %d -> %d", before, after)
 	}
-	if rc := c.ReclaimStats(); rc.FilesRetired == 0 || rc.BytesReclaimed == 0 {
-		t.Fatalf("reclaim counters empty: %+v", rc)
+	if rc := c.Obs().Snapshot().Counters; rc["reclaim.files_retired"] == 0 || rc["reclaim.bytes_reclaimed"] == 0 {
+		t.Fatalf("reclaim counters empty: %v", rc)
 	}
 	auditValues(t, c, "audit-pre", "t", want)
 
@@ -92,8 +92,8 @@ func TestReclaimStorageRoundTripsThroughReopen(t *testing.T) {
 	if _, err := c2.ReclaimStorage(); err != nil {
 		t.Fatalf("reclaim after reopen: %v", err)
 	}
-	if s := c2.FileStats(); s.BlockCompressedBytes == 0 {
-		t.Fatalf("reclaim after reopen wrote no compressed blocks: %+v", s)
+	if n := c2.Obs().Snapshot().Counters["block.compressed_bytes_total"]; n == 0 {
+		t.Fatal("reclaim after reopen wrote no compressed blocks")
 	}
 	// Cold reads go through the reclaimed store files, and point reads
 	// consult their bloom filters before fetching a block.
@@ -103,8 +103,8 @@ func TestReclaimStorageRoundTripsThroughReopen(t *testing.T) {
 		}
 	}
 	auditValues(t, c2, "audit-post2", "t", want)
-	if s := c2.FileStats(); s.BloomProbes == 0 {
-		t.Fatalf("cold reads after reopen never consulted a bloom filter: %+v", s)
+	if n := c2.Obs().Snapshot().Counters["bloom.probes_total"]; n == 0 {
+		t.Fatal("cold reads after reopen never consulted a bloom filter")
 	}
 	c2.Stop()
 
@@ -247,8 +247,8 @@ func TestJanitorBoundsDataDirUnderContinuousWrites(t *testing.T) {
 	if final > baseline*3 {
 		t.Fatalf("DataDir grew monotonically under soak: baseline %d, settled %d", baseline, final)
 	}
-	if rc := c.ReclaimStats(); rc.Compactions == 0 || rc.BytesReclaimed == 0 {
-		t.Fatalf("reclamation never ran during soak: %+v", rc)
+	if rc := c.Obs().Snapshot().Counters; rc["reclaim.compactions"] == 0 || rc["reclaim.bytes_reclaimed"] == 0 {
+		t.Fatalf("reclamation never ran during soak: %v", rc)
 	}
 
 	// Acknowledged data remains correct after all that churn.

@@ -61,6 +61,7 @@ func (c *Cluster) newShipper(serverID string) *replica.Shipper {
 		ServerID: serverID,
 		Dial:     c.dialFollower,
 		SafeTS:   c.tm.SafeSnapshot,
+		Registry: c.obs,
 	})
 }
 
@@ -122,84 +123,30 @@ func (c *Cluster) ReplicaDebugRows() []ReplicaDebug {
 	return out
 }
 
-// registerReplicaMetrics exposes the replica_* families: shipping volume and
-// lag from the shippers, apply/fencing/read counters from the servers, and
-// failover outcomes from the master. Sums span every server incarnation
-// ever added (crashed ones keep their frozen counters), so totals stay
-// monotonic across chaos churn.
+// registerReplicaMetrics exposes what the replica_* families cannot count
+// as registry instruments: the lag levels over the live shippers, and the
+// master's failover outcomes. The shipping, apply, fencing and read
+// counters are the shippers' and servers' own instruments.
 func (c *Cluster) registerReplicaMetrics() {
 	reg := c.obs
-	shipperStats := func() replica.Stats {
+	levels := func() (st replica.Stats) {
 		c.mu.Lock()
 		units := make([]*serverUnit, 0, len(c.servers))
 		for _, u := range c.servers {
 			units = append(units, u)
 		}
-		total := c.replShipperRetired
 		c.mu.Unlock()
 		for _, u := range units {
-			if u.shipper == nil {
-				continue
-			}
-			st := u.shipper.Stats()
-			total.ShippedBatches += st.ShippedBatches
-			total.ShippedEntries += st.ShippedEntries
-			total.ShippedBytes += st.ShippedBytes
-			total.Heartbeats += st.Heartbeats
-			total.Checkpoints += st.Checkpoints
-			total.SendErrors += st.SendErrors
-			total.QuorumTimeouts += st.QuorumTimeouts
-			total.RegionsFenced += st.RegionsFenced
-			total.RetainedEntries += st.RetainedEntries
-			total.LagBytes += st.LagBytes
-			if st.LagEntries > total.LagEntries {
-				total.LagEntries = st.LagEntries
-			}
+			s := u.shipper.Stats()
+			st.LagEntries = max(st.LagEntries, s.LagEntries)
+			st.LagBytes += s.LagBytes
+			st.RetainedEntries += s.RetainedEntries
 		}
-		return total
+		return st
 	}
-	serverStats := func() kvstore.ReplServerStats {
-		c.mu.Lock()
-		units := make([]*serverUnit, 0, len(c.servers))
-		for _, u := range c.servers {
-			units = append(units, u)
-		}
-		total := c.replServerRetired
-		c.mu.Unlock()
-		for _, u := range units {
-			st := u.srv.ReplStats()
-			total.Appends += st.Appends
-			total.EntriesApplied += st.EntriesApplied
-			total.Checkpoints += st.Checkpoints
-			total.Promotions += st.Promotions
-			total.StaleEpochRejects += st.StaleEpochRejects
-			total.FollowerReads += st.FollowerReads
-			total.FollowerRejects += st.FollowerRejects
-			total.LeaseRejects += st.LeaseRejects
-		}
-		return total
-	}
-
-	reg.CounterFunc("replica.shipped_batches", func() int64 { return shipperStats().ShippedBatches })
-	reg.CounterFunc("replica.shipped_entries", func() int64 { return shipperStats().ShippedEntries })
-	reg.CounterFunc("replica.shipped_bytes", func() int64 { return shipperStats().ShippedBytes })
-	reg.CounterFunc("replica.heartbeats", func() int64 { return shipperStats().Heartbeats })
-	reg.CounterFunc("replica.checkpoints_shipped", func() int64 { return shipperStats().Checkpoints })
-	reg.CounterFunc("replica.send_errors", func() int64 { return shipperStats().SendErrors })
-	reg.CounterFunc("replica.quorum_timeouts", func() int64 { return shipperStats().QuorumTimeouts })
-	reg.CounterFunc("replica.regions_fenced", func() int64 { return shipperStats().RegionsFenced })
-	reg.GaugeFunc("replica.lag_entries", func() int64 { return shipperStats().LagEntries })
-	reg.GaugeFunc("replica.lag_bytes", func() int64 { return shipperStats().LagBytes })
-	reg.GaugeFunc("replica.retained_entries", func() int64 { return shipperStats().RetainedEntries })
-
-	reg.CounterFunc("replica.appends_applied", func() int64 { return serverStats().Appends })
-	reg.CounterFunc("replica.entries_applied", func() int64 { return serverStats().EntriesApplied })
-	reg.CounterFunc("replica.checkpoints_applied", func() int64 { return serverStats().Checkpoints })
-	reg.CounterFunc("replica.promotions", func() int64 { return serverStats().Promotions })
-	reg.CounterFunc("replica.stale_epoch_rejects", func() int64 { return serverStats().StaleEpochRejects })
-	reg.CounterFunc("replica.follower_reads", func() int64 { return serverStats().FollowerReads })
-	reg.CounterFunc("replica.follower_rejects", func() int64 { return serverStats().FollowerRejects })
-	reg.CounterFunc("replica.lease_rejects", func() int64 { return serverStats().LeaseRejects })
+	reg.GaugeFunc("replica.lag_entries", func() int64 { return levels().LagEntries })
+	reg.GaugeFunc("replica.lag_bytes", func() int64 { return levels().LagBytes })
+	reg.GaugeFunc("replica.retained_entries", func() int64 { return levels().RetainedEntries })
 
 	reg.CounterFunc("replica.failovers", func() int64 { return c.master.FailoverStats().Failovers })
 	reg.CounterFunc("replica.failover_promotions", func() int64 { return c.master.FailoverStats().RegionsPromoted })

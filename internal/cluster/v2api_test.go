@@ -239,7 +239,7 @@ func TestViewPinSurvivesCompaction(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if rc := c.ReclaimStats(); rc.Compactions == 0 {
+	if c.Obs().Snapshot().Counters["reclaim.compactions"] == 0 {
 		t.Skip("janitor never ran during the window; pin property not exercised")
 	}
 

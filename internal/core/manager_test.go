@@ -264,7 +264,10 @@ func TestServerFailureRecovery(t *testing.T) {
 	if err := h.master.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
 	}
-	c := h.newClient(t, "c1", 15*time.Millisecond)
+	// The test probes a server failure, not c1's: a heartbeat whose 2 s
+	// session survives a loaded machine keeps c1 from expiring and adding
+	// a client recovery event.
+	c := h.newClient(t, "c1", 500*time.Millisecond)
 
 	const n = 10
 	for i := 1; i <= n; i++ {

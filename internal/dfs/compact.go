@@ -197,9 +197,9 @@ func (fs *FS) CompactLogs() (CompactStats, error) {
 	fs.stats.LogCompactions++
 	fs.stats.LogBytesReclaimed += cs.BytesReclaimed
 	fs.mu.Unlock()
-	fs.reclaim.AddSegmentsDropped(int64(cs.SegmentsDropped))
-	fs.reclaim.AddReclaimedBytes(cs.BytesReclaimed)
-	fs.reclaim.AddCompactions(1)
+	fs.segmentsDropped.Add(int64(cs.SegmentsDropped))
+	fs.bytesReclaimed.Add(cs.BytesReclaimed)
+	fs.compactions.Add(1)
 	return cs, nil
 }
 

@@ -26,7 +26,7 @@ import (
 	"sync"
 	"time"
 
-	"txkv/internal/metrics"
+	"txkv/internal/obs"
 	"txkv/internal/storage"
 )
 
@@ -61,10 +61,10 @@ type Config struct {
 	// filesystem over the same logs (via Open) restores all synced state.
 	// Nil keeps the filesystem purely in-process, the seed's behavior.
 	OpenLog func(name string) (*storage.Log, error)
-	// Reclaim, when set, receives the space-reclamation counters
-	// (segments dropped, bytes reclaimed) from CompactLogs passes. Nil
-	// records nothing.
-	Reclaim *metrics.ReclaimMetrics
+	// Registry receives the space-reclamation counters of CompactLogs
+	// passes: reclaim.segments_dropped, reclaim.bytes_reclaimed and
+	// reclaim.compactions. Nil records nothing.
+	Registry *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -122,8 +122,9 @@ type FS struct {
 	place   int // round-robin placement cursor
 	stats   Stats
 
-	metaLog *storage.Log            // nil without persistence
-	reclaim *metrics.ReclaimMetrics // nil-safe reclamation counters
+	metaLog *storage.Log // nil without persistence
+
+	segmentsDropped, bytesReclaimed, compactions *obs.Counter
 
 	// compactMu serializes CompactLogs passes; ckptEpoch numbers them
 	// (guarded by mu, restored from checkpoint records at replay).
@@ -162,10 +163,12 @@ func New(cfg Config) *FS {
 func Open(cfg Config) (*FS, error) {
 	cfg = cfg.withDefaults()
 	fs := &FS{
-		cfg:     cfg,
-		files:   make(map[string]*file),
-		nodes:   make(map[string]*dataNode),
-		reclaim: cfg.Reclaim,
+		cfg:             cfg,
+		files:           make(map[string]*file),
+		nodes:           make(map[string]*dataNode),
+		segmentsDropped: cfg.Registry.Counter("reclaim.segments_dropped"),
+		bytesReclaimed:  cfg.Registry.Counter("reclaim.bytes_reclaimed"),
+		compactions:     cfg.Registry.Counter("reclaim.compactions"),
 	}
 	for i := 0; i < cfg.DataNodes; i++ {
 		id := fmt.Sprintf("dn-%d", i)

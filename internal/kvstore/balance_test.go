@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"txkv/internal/dfs"
 	"txkv/internal/kv"
+	"txkv/internal/netsim"
 )
 
 func regionCountsByServer(t *testing.T, ts *testStore) map[string]int {
@@ -196,6 +200,112 @@ func TestMoveRegionUnderConcurrentWrites(t *testing.T) {
 		_, found, err := c.Get(ctx, "t", kv.Key(row), "f", kv.MaxTimestamp)
 		if err != nil || !found {
 			t.Fatalf("row %s lost across moves: %v %v", row, found, err)
+		}
+	}
+}
+
+// holdingFS holds the first store-file read after hold is set until
+// release closes, so a test can keep one read in flight across a move.
+type holdingFS struct {
+	dfs.FileSystem
+	hold    atomic.Bool
+	reading chan struct{} // closed when the held read starts
+	release chan struct{}
+}
+
+func (h *holdingFS) ReadRange(path string, off int64, n int) ([]byte, error) {
+	if strings.HasSuffix(path, ".sf") && h.hold.CompareAndSwap(true, false) {
+		close(h.reading)
+		<-h.release
+	}
+	return h.FileSystem.ReadRange(path, off, n)
+}
+
+// TestMoveWaitsForInflightRead: a move's source returns its file list only
+// once the reads that found the region have finished. Otherwise the
+// destination may compact and unlink a file that a page still in flight on
+// the source reads next, and the page fails with dfs.ErrNotFound.
+func TestMoveWaitsForInflightRead(t *testing.T) {
+	fs := dfs.New(dfs.Config{Replication: 2, DataNodes: 3})
+	hfs := &holdingFS{FileSystem: fs, reading: make(chan struct{}), release: make(chan struct{})}
+	master := NewMaster(MasterConfig{HeartbeatTimeout: 200 * time.Millisecond, CheckInterval: 20 * time.Millisecond}, fs)
+	master.Start()
+	src := NewRegionServer(ServerConfig{ID: "server-0", WALSyncInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond}, hfs)
+	dst := NewRegionServer(ServerConfig{ID: "server-1", WALSyncInterval: 20 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond}, fs)
+	if err := master.AddServer(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := master.CreateTable("t", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := master.AddServer(dst); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(hfs.release)
+		master.Stop()
+		src.Stop()
+		dst.Stop()
+	})
+	ts := &testStore{fs: fs, net: netsim.New(netsim.Config{}), master: master, srvs: []*RegionServer{src, dst}}
+	c := ts.client("c1")
+	ctx := context.Background()
+	const rows = 10
+	for i := 0; i < rows; i++ {
+		if err := c.Flush(ctx, writeSet("c1", kv.Timestamp(i+1), "t", fmt.Sprintf("row%02d", i)), 0, false); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 4 {
+			if err := src.FlushAll(); err != nil { // two store files to compact
+				t.Fatal(err)
+			}
+		}
+	}
+	info, _, err := master.Locate("t", "row00")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hfs.hold.Store(true)
+	scanDone := make(chan error, 1)
+	go func() {
+		resp, err := src.ScanBatch(ctx, ScanRequest{Table: "t", MaxTS: kv.MaxTimestamp, Batch: 100})
+		if err == nil && len(resp.KVs) != rows {
+			err = fmt.Errorf("scan returned %d rows, want %d", len(resp.KVs), rows)
+		}
+		scanDone <- err
+	}()
+	<-hfs.reading
+
+	moveDone := make(chan error, 1)
+	go func() { moveDone <- master.MoveRegion(info.ID, dst.ID()) }()
+	select {
+	case err := <-moveDone:
+		// The move finished under the held read: compact on the
+		// destination, which unlinks the files that read is in.
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hostRegion(t, dst, "t", "row00").Compact(256, 0); err != nil {
+			t.Fatal(err)
+		}
+		moveDone <- nil
+	case <-time.After(100 * time.Millisecond):
+	}
+	hfs.release <- struct{}{}
+	if err := <-scanDone; err != nil {
+		t.Fatalf("in-flight scan page across the move: %v", err)
+	}
+	if err := <-moveDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := hostRegion(t, dst, "t", "row00").Compact(256, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		row := fmt.Sprintf("row%02d", i)
+		if _, found, err := c.Get(ctx, "t", kv.Key(row), "f", kv.MaxTimestamp); err != nil || !found {
+			t.Fatalf("get %s after the move: found=%v err=%v", row, found, err)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"container/list"
 	"sync"
+
+	"txkv/internal/obs"
 )
 
 // BlockCache is a byte-capacity-bounded LRU cache of store-file blocks,
@@ -16,7 +18,7 @@ type BlockCache struct {
 	order    *list.List // front = most recently used
 	items    map[string]*list.Element
 
-	hits, misses int64
+	hits, misses *obs.Counter
 }
 
 type cacheEntry struct {
@@ -33,27 +35,32 @@ type cacheEntry struct {
 }
 
 // NewBlockCache returns a cache holding at most capacity bytes. A zero or
-// negative capacity disables caching (every lookup misses).
-func NewBlockCache(capacity int) *BlockCache {
+// negative capacity disables caching (every lookup misses). Lookups count
+// into reg's blockcache.hits and blockcache.misses; nil records nothing.
+func NewBlockCache(capacity int, reg *obs.Registry) *BlockCache {
 	return &BlockCache{
 		capacity: capacity,
 		order:    list.New(),
 		items:    make(map[string]*list.Element),
+		hits:     reg.Counter("blockcache.hits"),
+		misses:   reg.Counter("blockcache.misses"),
 	}
 }
 
 // Get returns the cached block and whether it was present.
 func (c *BlockCache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
+		c.mu.Unlock()
+		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).data, true
+	data := el.Value.(*cacheEntry).data
+	c.mu.Unlock()
+	c.hits.Add(1)
+	return data, true
 }
 
 // Put inserts a block, evicting least-recently-used blocks to stay within
@@ -98,13 +105,6 @@ func (c *BlockCache) Used() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.used
-}
-
-// Stats returns cumulative hit/miss counters.
-func (c *BlockCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // InvalidateFile eagerly drops every cached block of a store file, given

@@ -24,7 +24,7 @@ func sumCharges(c *BlockCache) (charges, data int) {
 // invalidations, asserting after every step that used is neither over- nor
 // under-charged relative to the entries actually resident.
 func TestBlockCacheChargeExact(t *testing.T) {
-	c := NewBlockCache(10000)
+	c := NewBlockCache(10000, nil)
 
 	check := func(step string) {
 		t.Helper()

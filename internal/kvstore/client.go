@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"txkv/internal/kv"
-	"txkv/internal/metrics"
 	"txkv/internal/netsim"
 	"txkv/internal/obs"
 )
@@ -23,10 +22,10 @@ type ClientConfig struct {
 	// RetryBackoff is the initial backoff between retries; it doubles up
 	// to 32x.
 	RetryBackoff time.Duration
-	// Obs, when set, receives cluster-level routing instruments shared by
-	// every client of one cluster (per-client Stats stay separate). Nil
-	// records nothing.
-	Obs *ClientObs
+	// Registry receives the client's routing instruments (client.*). The
+	// clients of one cluster share it, so each counter is one total that
+	// stays monotonic while clients come and go. Nil records nothing.
+	Registry *obs.Registry
 	// FollowerReads routes scan batches to follower replicas when the
 	// layout lists one for the region, trading bounded staleness (the
 	// follower serves only snapshots at or below its replicated frontier)
@@ -34,24 +33,6 @@ type ClientConfig struct {
 	// scan's snapshot — or unreachable — falls back to the primary within
 	// the same fill, so correctness never depends on replication progress.
 	FollowerReads bool
-}
-
-// ClientObs bundles the cluster-level instruments the routing clients feed.
-// Individual clients come and go (crash injection retires them mid-
-// campaign), so cluster totals live here rather than being summed over live
-// instances — that keeps every exported counter monotonic. All fields must
-// be non-nil when the struct is; the cluster builds it from its registry.
-type ClientObs struct {
-	MasterLookups *metrics.Counter
-	LayoutHits    *metrics.Counter
-	LayoutMisses  *metrics.Counter
-	Gets          *metrics.Counter
-	GetRetries    *metrics.Counter
-	FlushRetries  *metrics.Counter
-	ScanBatches   *metrics.Counter
-	// ScanContinuations counts scan batches that resumed with a
-	// continuation token (i.e. every batch after a scan's first).
-	ScanContinuations *metrics.Counter
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -106,26 +87,6 @@ func (l *tableLayout) drop(regionID string) {
 	}
 }
 
-// ClientStats counts a routing client's location work: how often a region
-// lookup was answered from the cached layout versus by asking the master.
-// Scan-heavy workloads over a cached layout keep MasterLookups near one per
-// table regardless of how many region transitions the scans cross.
-type ClientStats struct {
-	// MasterLookups is the number of layout fetches sent to the master.
-	MasterLookups int64
-	// LayoutHits is the number of locate calls answered from the cache.
-	LayoutHits int64
-	// LayoutMisses is the number of locate calls that had to refresh.
-	LayoutMisses int64
-	// FollowerBatches is the number of scan batches served by a follower
-	// replica (FollowerReads routing, successful follower response).
-	FollowerBatches int64
-	// FollowerFallbacks is the number of scan batches that tried a
-	// follower and fell back to the primary (follower behind the scan's
-	// snapshot, or unreachable).
-	FollowerFallbacks int64
-}
-
 // Client is the HBase-like routing client: it caches each table's region
 // layout (a range map refreshed whole on a miss, invalidated per region on
 // ErrRegionNotServing-style failures), routes gets/scans/write-set flushes
@@ -143,11 +104,7 @@ type Client struct {
 	mu    sync.Mutex
 	cache map[string]*tableLayout // table -> cached region map
 
-	masterLookups     metrics.Counter
-	layoutHits        metrics.Counter
-	layoutMisses      metrics.Counter
-	followerBatches   metrics.Counter
-	followerFallbacks metrics.Counter
+	m clientMetrics
 }
 
 // NewClient creates a routing client over the in-process loopback
@@ -163,6 +120,7 @@ func NewClientTransport(cfg ClientConfig, tr Transport) *Client {
 		cfg:   cfg.withDefaults(),
 		tr:    tr,
 		cache: make(map[string]*tableLayout),
+		m:     newClientMetrics(cfg.Registry),
 	}
 }
 
@@ -172,17 +130,6 @@ func (c *Client) Transport() Transport { return c.tr }
 // ID returns the client's node name.
 func (c *Client) ID() string { return c.cfg.ID }
 
-// Stats returns the client's location counters.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		MasterLookups:     c.masterLookups.Load(),
-		LayoutHits:        c.layoutHits.Load(),
-		LayoutMisses:      c.layoutMisses.Load(),
-		FollowerBatches:   c.followerBatches.Load(),
-		FollowerFallbacks: c.followerFallbacks.Load(),
-	}
-}
-
 // locate resolves (table, row) against the cached layout; a miss refreshes
 // the whole table's region map from the master in one call.
 func (c *Client) locate(ctx context.Context, table string, row kv.Key) (location, error) {
@@ -190,26 +137,17 @@ func (c *Client) locate(ctx context.Context, table string, row kv.Key) (location
 	if lay := c.cache[table]; lay != nil {
 		if loc, ok := lay.find(row); ok {
 			c.mu.Unlock()
-			c.layoutHits.Add(1)
-			if o := c.cfg.Obs; o != nil {
-				o.LayoutHits.Add(1)
-			}
+			c.m.layoutHits.Add(1)
 			return loc, nil
 		}
 	}
 	c.mu.Unlock()
-	c.layoutMisses.Add(1)
-	if o := c.cfg.Obs; o != nil {
-		o.LayoutMisses.Add(1)
-	}
+	c.m.layoutMisses.Add(1)
 
 	// One master round trip fetches the table's whole serving layout — a
 	// scan's next thousand region transitions are then local.
 	located, err := c.tr.LocateAll(ctx, table)
-	c.masterLookups.Add(1)
-	if o := c.cfg.Obs; o != nil {
-		o.MasterLookups.Add(1)
-	}
+	c.m.masterLookups.Add(1)
 	if err != nil {
 		return location{}, err
 	}
@@ -273,9 +211,7 @@ func backoff(base time.Duration, attempt int) time.Duration {
 
 // Get reads the newest version of (table, row, column) at or below maxTS.
 func (c *Client) Get(ctx context.Context, table string, row kv.Key, column string, maxTS kv.Timestamp) (kv.KeyValue, bool, error) {
-	if o := c.cfg.Obs; o != nil {
-		o.Gets.Add(1)
-	}
+	c.m.gets.Add(1)
 	sp := obs.FromContext(ctx)
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.ReadRetries; attempt++ {
@@ -303,9 +239,7 @@ func (c *Client) Get(ctx context.Context, table string, row kv.Key, column strin
 			return kv.KeyValue{}, false, err
 		}
 		lastErr = err
-		if o := c.cfg.Obs; o != nil {
-			o.GetRetries.Add(1)
-		}
+		c.m.getRetries.Add(1)
 		select {
 		case <-ctx.Done():
 			return kv.KeyValue{}, false, ctx.Err()
@@ -500,9 +434,7 @@ func (c *Client) Flush(ctx context.Context, ws kv.WriteSet, piggy kv.Timestamp, 
 			return nil
 		}
 		remaining = failed
-		if o := c.cfg.Obs; o != nil {
-			o.FlushRetries.Add(1)
-		}
+		c.m.flushRetries.Add(1)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

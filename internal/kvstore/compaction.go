@@ -183,7 +183,7 @@ func (r *Region) compactFiles(v *viewRef, files []*StoreFile, blockSize int, hor
 	}
 	r.releaseView(old)
 	r.releaseView(v)
-	r.reclaim.AddCompactions(1)
+	r.m.compactions.Add(1)
 	return nil
 }
 

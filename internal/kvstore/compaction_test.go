@@ -12,7 +12,7 @@ import (
 func buildRegionWithFiles(t testing.TB, nFiles, rowsPerFile int) (*Region, *dfs.FS) {
 	t.Helper()
 	fs := dfs.New(dfs.Config{})
-	r, err := OpenRegion(fs, NewBlockCache(1<<20), RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}})
+	r, err := OpenRegion(fs, NewBlockCache(1<<20, nil), RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCompactWithHorizonDropsShadowedVersions(t *testing.T) {
 	if err := r.Compact(256, kv.MaxTimestamp); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 0)
+	scan, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 0)
 	if err != nil || len(scan) != 10 {
 		t.Fatalf("scan: %d %v", len(scan), err)
 	}
@@ -105,7 +105,7 @@ func TestCompactPreservesDuplicatesFromReplay(t *testing.T) {
 	if err := r.Compact(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 0)
+	scan, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 0)
 	if err != nil || len(scan) != 1 {
 		t.Fatalf("scan: %v %v", scan, err)
 	}

@@ -83,7 +83,7 @@ func (s *RegionServer) ScanBatch(ctx context.Context, req ScanRequest) (ScanResp
 		return ScanResponse{}, ErrServerStopped
 	}
 	start := req.effectiveStart()
-	r, ok := s.findRegion(req.Table, start, false)
+	r, ok := s.findRegion(req.Table, start)
 	if !ok {
 		// Follower read: a follower copy may serve the batch if its
 		// replicated frontier has caught up to the snapshot — every commit
@@ -91,10 +91,10 @@ func (s *RegionServer) ScanBatch(ctx context.Context, req ScanRequest) (ScanResp
 		if req.AllowFollower {
 			if e, fok := s.followerFor(req.Table, start); fok {
 				if kv.Timestamp(e.rep.frontier.Load()) >= req.MaxTS {
-					s.replCounters.followerReads.Add(1)
+					s.m.followerReads.Add(1)
 					return s.scanRegionBatch(ctx, e.r, req)
 				}
-				s.replCounters.followerRejects.Add(1)
+				s.m.followerRejects.Add(1)
 				return ScanResponse{}, fmt.Errorf("%w: %s/%s on %s (frontier %d < %d)",
 					ErrFollowerBehind, req.Table, start, s.cfg.ID,
 					e.rep.frontier.Load(), req.MaxTS)
@@ -102,6 +102,7 @@ func (s *RegionServer) ScanBatch(ctx context.Context, req ScanRequest) (ScanResp
 		}
 		return ScanResponse{}, fmt.Errorf("%w: %s/%s on %s", ErrRegionNotServing, req.Table, start, s.cfg.ID)
 	}
+	defer r.readDone()
 	return s.scanRegionBatch(ctx, r, req)
 }
 
@@ -116,18 +117,13 @@ func (s *RegionServer) scanRegionBatch(ctx context.Context, r *Region, req ScanR
 	if r.Info.Range.End != "" && (clipped.End == "" || r.Info.Range.End < clipped.End) {
 		clipped.End = r.Info.Range.End
 	}
-	var pageStart time.Time
-	if s.cfg.Obs != nil {
-		pageStart = time.Now()
-	}
+	pageStart := time.Now()
 	kvs, more, err := r.scanPage(ctx, clipped, req.MaxTS, req.Resume, req.HasResume, req.Columns, req.KeysOnly, req.Batch)
 	if err != nil {
 		return ScanResponse{}, err
 	}
-	if o := s.cfg.Obs; o != nil {
-		o.ScanPages.Add(1)
-		o.ScanPageLatency.Record(time.Since(pageStart))
-	}
+	s.m.scanPages.Add(1)
+	s.m.scanPageLatency.Record(time.Since(pageStart))
 	return ScanResponse{KVs: kvs, More: more, RegionEnd: r.Info.Range.End}, nil
 }
 
@@ -149,11 +145,12 @@ func (s *RegionServer) GetBatch(ctx context.Context, table string, keys []kv.Cel
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		r, ok := s.findRegion(table, k.Row, false)
+		r, ok := s.findRegion(table, k.Row)
 		if !ok {
 			return nil, nil, fmt.Errorf("%w: %s/%s on %s", ErrRegionNotServing, table, k.Row, s.cfg.ID)
 		}
 		e, ok, err := r.Get(k.Row, k.Column, maxTS)
+		r.readDone()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -230,10 +227,10 @@ func (r *Region) scanPage(ctx context.Context, rng kv.KeyRange, maxTS kv.Timesta
 	for _, f := range v.files {
 		if singleRow && f.hasBloom() {
 			r.heat.bloomProbes.Add(1)
-			r.stats.bloomProbe()
+			r.m.bloomProbes.Add(1)
 			if !f.MayContainRow(bloomRow) {
 				r.heat.bloomNegatives.Add(1)
-				r.stats.bloomNegative()
+				r.m.bloomNegatives.Add(1)
 				continue
 			}
 		}

@@ -66,7 +66,7 @@ func TestScanPagePagingMatchesReference(t *testing.T) {
 		{Cell: kv.Cell{Row: "row010", Column: "f", TS: 1002}, Tombstone: true},
 	})
 	for _, rng := range []kv.KeyRange{{}, {Start: "row010", End: "row030"}} {
-		want, err := r.ScanRange(rng, kv.MaxTimestamp, 0)
+		want, err := scanRange(r, rng, kv.MaxTimestamp, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestScanPagePagingMatchesReference(t *testing.T) {
 // entries count toward the batch.
 func TestScanPageProjection(t *testing.T) {
 	fs := dfs.New(dfs.Config{})
-	r, err := OpenRegion(fs, NewBlockCache(1<<20), RegionInfo{ID: "t-r000", Table: "t"})
+	r, err := OpenRegion(fs, NewBlockCache(1<<20, nil), RegionInfo{ID: "t-r000", Table: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func TestOpenStoreFileRejectsV1(t *testing.T) {
 	if _, err := OpenStoreFile(fs, path); !errors.Is(err, ErrBadStoreFile) {
 		t.Fatalf("open v1 file: got %v, want ErrBadStoreFile", err)
 	}
-	if _, err := OpenRegion(fs, NewBlockCache(1<<20), info); !errors.Is(err, ErrBadStoreFile) {
+	if _, err := OpenRegion(fs, NewBlockCache(1<<20, nil), info); !errors.Is(err, ErrBadStoreFile) {
 		t.Fatalf("open region holding a v1 file: got %v, want ErrBadStoreFile", err)
 	}
 }
@@ -265,7 +265,7 @@ func FuzzOpenStoreFile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cache := NewBlockCache(1 << 20)
+		cache := NewBlockCache(1<<20, nil)
 		_, _, _ = sf.Get("row00003", "c", kv.MaxTimestamp, cache)
 		_, _ = sf.ScanRange(nil, kv.KeyRange{}, kv.MaxTimestamp, cache)
 	})
@@ -278,7 +278,7 @@ func FuzzOpenStoreFile(f *testing.F) {
 // still reads back under horizon 0.
 func TestCompactTieredSelectsReferencesAndConverges(t *testing.T) {
 	fs := dfs.New(dfs.Config{})
-	cache := NewBlockCache(1 << 20)
+	cache := NewBlockCache(1<<20, nil)
 	info := RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}}
 	gens := []int{200, 20, 20, 100, 5} // rows per generation
 	genKVs := func(gen int) []kv.KeyValue {

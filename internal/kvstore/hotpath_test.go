@@ -194,7 +194,7 @@ func TestMemStoreConcurrentVsReference(t *testing.T) {
 // copy-on-write read view.
 func TestRegionConcurrentApplyGetScanFlush(t *testing.T) {
 	fs := dfs.New(dfs.Config{})
-	r, err := OpenRegion(fs, NewBlockCache(1<<20), RegionInfo{ID: "cc-r000", Table: "t", Range: kv.KeyRange{}})
+	r, err := OpenRegion(fs, NewBlockCache(1<<20, nil), RegionInfo{ID: "cc-r000", Table: "t", Range: kv.KeyRange{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestRegionConcurrentApplyGetScanFlush(t *testing.T) {
 				return
 			}
 			if i%32 == 0 {
-				if _, err := r.ScanRange(kv.KeyRange{Start: "r010", End: "r050"}, kv.MaxTimestamp, 10); err != nil {
+				if _, err := scanRange(r, kv.KeyRange{Start: "r010", End: "r050"}, kv.MaxTimestamp, 10); err != nil {
 					t.Error(err)
 					return
 				}
@@ -251,7 +251,7 @@ func TestRegionConcurrentApplyGetScanFlush(t *testing.T) {
 	if err := r.Flush(512); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 0)
+	scan, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func BenchmarkRegionScanLimit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		start := fmt.Sprintf("row%03d", i%900)
-		if _, err := r.ScanRange(kv.KeyRange{Start: kv.Key(start)}, kv.MaxTimestamp, 16); err != nil {
+		if _, err := scanRange(r, kv.KeyRange{Start: kv.Key(start)}, kv.MaxTimestamp, 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -314,7 +314,7 @@ func TestRegionScanLimitPushdown(t *testing.T) {
 	// Newer versions for some rows still in the memstore.
 	r.Apply([]kv.KeyValue{mkKV("row005", "f", 9999, "fresh")})
 
-	got, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 7)
+	got, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"txkv/internal/kv"
+	"txkv/internal/obs"
 )
 
 // TestLayoutCacheScanMasterLookups proves the range-aware layout cache: a
@@ -17,7 +18,8 @@ func TestLayoutCacheScanMasterLookups(t *testing.T) {
 	if err := ts.master.CreateTable("t", []kv.Key{"d", "h", "l", "p", "t"}); err != nil {
 		t.Fatal(err)
 	}
-	c := ts.client("c1")
+	reg := obs.NewRegistry()
+	c := NewClient(ClientConfig{ID: "c1", Registry: reg}, ts.net, ts.master)
 	ctx := context.Background()
 
 	rows := []string{"a", "e", "i", "m", "q", "u"} // one row per region
@@ -39,12 +41,12 @@ func TestLayoutCacheScanMasterLookups(t *testing.T) {
 		t.Fatalf("scan returned %d rows, want %d", n, len(rows))
 	}
 
-	st := c.Stats()
-	if st.MasterLookups != 1 {
-		t.Fatalf("scan across 6 regions cost %d master lookups, want 1 (layout cache)", st.MasterLookups)
+	lookups, hits := reg.Counter("client.master_lookups"), reg.Counter("client.layout_hits")
+	if lookups.Load() != 1 {
+		t.Fatalf("scan across 6 regions cost %d master lookups, want 1 (layout cache)", lookups.Load())
 	}
-	if st.LayoutHits < int64(len(rows)) {
-		t.Fatalf("layout hits = %d, want >= %d", st.LayoutHits, len(rows))
+	if hits.Load() < int64(len(rows)) {
+		t.Fatalf("layout hits = %d, want >= %d", hits.Load(), len(rows))
 	}
 
 	// Point reads across regions stay local too.
@@ -53,7 +55,7 @@ func TestLayoutCacheScanMasterLookups(t *testing.T) {
 			t.Fatalf("get %s: %v found=%v", r, err, found)
 		}
 	}
-	if got := c.Stats().MasterLookups; got != 1 {
+	if got := lookups.Load(); got != 1 {
 		t.Fatalf("point reads after scan cost %d master lookups, want 1", got)
 	}
 }
@@ -65,7 +67,9 @@ func TestLayoutCacheInvalidatePerRegion(t *testing.T) {
 	if err := ts.master.CreateTable("t", []kv.Key{"m"}); err != nil {
 		t.Fatal(err)
 	}
-	c := ts.client("c1")
+	reg := obs.NewRegistry()
+	c := NewClient(ClientConfig{ID: "c1", Registry: reg}, ts.net, ts.master)
+	lookups := reg.Counter("client.master_lookups")
 	ctx := context.Background()
 	if err := c.Flush(ctx, writeSet("c1", 10, "t", "a", "z"), 0, false); err != nil {
 		t.Fatal(err)
@@ -73,7 +77,7 @@ func TestLayoutCacheInvalidatePerRegion(t *testing.T) {
 	if _, _, err := c.Get(ctx, "t", "a", "f", kv.MaxTimestamp); err != nil {
 		t.Fatal(err)
 	}
-	base := c.Stats().MasterLookups
+	base := lookups.Load()
 
 	// Drop the first region from the layout: a read in the second region
 	// must not refresh.
@@ -87,14 +91,14 @@ func TestLayoutCacheInvalidatePerRegion(t *testing.T) {
 	if _, _, err := c.Get(ctx, "t", "z", "f", kv.MaxTimestamp); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().MasterLookups; got != base {
+	if got := lookups.Load(); got != base {
 		t.Fatalf("read in intact region refreshed the layout (%d -> %d lookups)", base, got)
 	}
 	// A read in the dropped region refreshes exactly once.
 	if _, _, err := c.Get(ctx, "t", "a", "f", kv.MaxTimestamp); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().MasterLookups; got != base+1 {
+	if got := lookups.Load(); got != base+1 {
 		t.Fatalf("read in dropped region cost %d extra lookups, want 1", got-base)
 	}
 }

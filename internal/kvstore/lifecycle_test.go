@@ -11,7 +11,7 @@ import (
 
 	"txkv/internal/dfs"
 	"txkv/internal/kv"
-	"txkv/internal/metrics"
+	"txkv/internal/obs"
 	"txkv/internal/storage"
 )
 
@@ -20,8 +20,8 @@ import (
 // the retirement counters record it.
 func TestCompactRetiresInputsAfterDrain(t *testing.T) {
 	r, fs := buildRegionWithFiles(t, 4, 20)
-	rec := &metrics.ReclaimMetrics{}
-	r.reclaim = rec
+	reg := obs.NewRegistry()
+	r.m = newStoreMetrics(reg)
 	if err := r.Compact(256, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +37,9 @@ func TestCompactRetiresInputsAfterDrain(t *testing.T) {
 	if sf != 1 || tmp != 0 {
 		t.Fatalf("after compaction: %d store files, %d tmp files; want 1, 0", sf, tmp)
 	}
-	snap := rec.Snapshot()
-	if snap.FilesRetired != 4 || snap.BytesRetired == 0 || snap.Compactions != 1 {
-		t.Fatalf("reclaim counters: %+v", snap)
+	snap := reg.Snapshot().Counters
+	if snap["reclaim.files_retired"] != 4 || snap["reclaim.bytes_retired"] == 0 || snap["reclaim.compactions"] != 1 {
+		t.Fatalf("reclaim counters: %v", snap)
 	}
 }
 
@@ -151,11 +151,12 @@ func TestLifecyclePropertyNoReaderErrors(t *testing.T) {
 	}
 	defer fs.Close()
 
-	r, err := OpenRegion(fs, NewBlockCache(1<<20), RegionInfo{ID: "prop-r000", Table: "t", Range: kv.KeyRange{}})
+	r, err := OpenRegion(fs, NewBlockCache(1<<20, nil), RegionInfo{ID: "prop-r000", Table: "t", Range: kv.KeyRange{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.reclaim = &metrics.ReclaimMetrics{}
+	reg := obs.NewRegistry()
+	r.m = newStoreMetrics(reg)
 
 	const rows = 80
 	// Seed every row so readers always have something to find.
@@ -237,7 +238,7 @@ func TestLifecyclePropertyNoReaderErrors(t *testing.T) {
 					return
 				}
 				if i%16 == 0 {
-					got, err := r.ScanRange(kv.KeyRange{Start: "r010", End: "r050"}, kv.MaxTimestamp, 0)
+					got, err := scanRange(r, kv.KeyRange{Start: "r010", End: "r050"}, kv.MaxTimestamp, 0)
 					if err != nil {
 						t.Errorf("reader %d: scan: %v", g, err)
 						return
@@ -261,7 +262,7 @@ func TestLifecyclePropertyNoReaderErrors(t *testing.T) {
 	if err := r.Compact(512, 0); err != nil {
 		t.Fatal(err)
 	}
-	if snap := r.reclaim.Snapshot(); snap.FilesRetired == 0 {
-		t.Fatalf("no store files retired during the run: %+v", snap)
+	if n := reg.Counter("reclaim.files_retired").Load(); n == 0 {
+		t.Fatal("no store files retired during the run")
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"txkv/internal/dfs"
 	"txkv/internal/kv"
-	"txkv/internal/metrics"
 )
 
 // RegionInfo identifies a region: a contiguous key range of one table.
@@ -76,10 +76,9 @@ func (v *viewRef) tryRef() bool {
 type Region struct {
 	Info RegionInfo
 
-	fs      dfs.FileSystem
-	cache   *BlockCache
-	reclaim *metrics.ReclaimMetrics // nil-safe; set by the hosting server
-	stats   *FileStats              // nil-safe; shared cluster-wide, set by the hosting server
+	fs    dfs.FileSystem
+	cache *BlockCache
+	m     *storeMetrics // the hosting server's; unregisteredStore until set
 
 	// abandoned is set when the hosting server crashes: late view drains
 	// from the dead incarnation must not unlink files — the region's next
@@ -89,6 +88,9 @@ type Region struct {
 	abandoned atomic.Bool
 
 	view atomic.Pointer[viewRef]
+	// readers counts the server reads in progress on the region (see
+	// RegionServer.findRegion); a move waits for it to drain.
+	readers atomic.Int64
 
 	// heat is the always-on per-region load accounting (atomic adds only)
 	// behind /debug/regions and the cluster read/write counters.
@@ -140,6 +142,19 @@ func (r *Region) acquireView() *viewRef {
 	}
 }
 
+// readDone ends a read registered by RegionServer.findRegion.
+func (r *Region) readDone() { r.readers.Add(-1) }
+
+// waitReaders returns once no registered read is in progress. Only a move
+// waits, after the region left its server's map, so the wait is bounded by
+// the reads already running; it polls so that a read pays one atomic add
+// rather than a lock.
+func (r *Region) waitReaders() {
+	for r.readers.Load() > 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // releaseView drops one reference; the last release drains the view,
 // unreferencing its store files and physically unlinking any that were
 // retired (deferred deletion: the files were compaction inputs whose
@@ -168,10 +183,10 @@ func (r *Region) unlinkStoreFile(f *StoreFile) {
 	}
 	size, _ := r.fs.Size(path)
 	if err := r.fs.Delete(path); err == nil {
-		r.reclaim.AddFilesRetired(1)
+		r.m.filesRetired.Add(1)
 		// Logical size, not physical reclaim: the journal bytes holding
 		// these blocks are reclaimed by the next DFS log compaction.
-		r.reclaim.AddRetiredBytes(size)
+		r.m.bytesRetired.Add(size)
 	}
 	// Drop the dead file's blocks from the cache eagerly rather than
 	// letting them ride the LRU to eviction. Only when the data file
@@ -215,7 +230,7 @@ func OpenRegionFiles(fs dfs.FileSystem, cache *BlockCache, info RegionInfo, path
 }
 
 func openRegionPaths(fs dfs.FileSystem, cache *BlockCache, info RegionInfo, paths []string) (*Region, error) {
-	r := &Region{Info: info, fs: fs, cache: cache}
+	r := &Region{Info: info, fs: fs, cache: cache, m: unregisteredStore}
 	dir := dataDir(info.Table, info.ID)
 	sort.Strings(paths)
 	var files []*StoreFile
@@ -327,12 +342,12 @@ func (r *Region) Get(row kv.Key, column string, maxTS kv.Timestamp) (kv.KeyValue
 	for _, f := range v.files {
 		if f.hasBloom() {
 			r.heat.bloomProbes.Add(1)
-			r.stats.bloomProbe()
+			r.m.bloomProbes.Add(1)
 			if !f.MayContainRow(row) {
 				// Definitive: the file holds no cell of this row, so the
 				// block fetch (and possible decompression) is skipped.
 				r.heat.bloomNegatives.Add(1)
-				r.stats.bloomNegative()
+				r.m.bloomNegatives.Add(1)
 				continue
 			}
 		}
@@ -345,7 +360,7 @@ func (r *Region) Get(row kv.Key, column string, maxTS kv.Timestamp) (kv.KeyValue
 			// counts (row, column) misses too, a slight overestimate of the
 			// pure row-key false-positive rate.
 			r.heat.bloomFalsePositives.Add(1)
-			r.stats.bloomFalsePositive()
+			r.m.bloomFalsePositives.Add(1)
 		}
 		if ok && (!found || e.TS > best.TS) {
 			best, found, fromFile = e, true, true
@@ -364,17 +379,6 @@ func (r *Region) Get(row kv.Key, column string, maxTS kv.Timestamp) (kv.KeyValue
 	r.heat.cellsRead.Add(1)
 	r.heat.bytesRead.Add(int64(len(best.Value)))
 	return best, true, nil
-}
-
-// ScanRange returns the newest visible version per (row, column) within rng
-// at or below maxTS, sorted in store order, tombstones elided. The sources
-// stream through a k-way heap merge that deduplicates by coordinate in
-// merge order and stops as soon as limit entries have been produced —
-// nothing beyond the limit is materialized or even decoded. It is one
-// unbounded page of the cursor-scan machinery (see scanPage).
-func (r *Region) ScanRange(rng kv.KeyRange, maxTS kv.Timestamp, limit int) ([]kv.KeyValue, error) {
-	out, _, err := r.scanPage(nil, rng, maxTS, kv.CellKey{}, false, nil, false, limit)
-	return out, err
 }
 
 // MemSize returns the approximate bytes held in the active memstore.
@@ -458,9 +462,9 @@ func (r *Region) Flush(blockSize int) error {
 }
 
 // writeOpts returns the store-file write options for the per-call block
-// size and the region's shared stats sink.
+// size and the region's instruments.
 func (r *Region) writeOpts(blockSize int) StoreFileOptions {
-	return StoreFileOptions{BlockSize: blockSize, Stats: r.stats}
+	return StoreFileOptions{BlockSize: blockSize, metrics: r.m}
 }
 
 // Files returns the number of store files, for tests and stats.

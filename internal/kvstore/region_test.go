@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,7 +59,7 @@ func TestWALEntryDecodeErrors(t *testing.T) {
 func TestRegionApplyGetScan(t *testing.T) {
 	fs := dfs.New(dfs.Config{})
 	info := RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}}
-	r, err := OpenRegion(fs, NewBlockCache(1<<20), info)
+	r, err := OpenRegion(fs, NewBlockCache(1<<20, nil), info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestRegionApplyGetScan(t *testing.T) {
 	if !found || string(got.Value) != "v1" {
 		t.Fatalf("snapshot get: %v %v", got, found)
 	}
-	scan, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 0)
+	scan, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 0)
 	if err != nil || len(scan) != 2 {
 		t.Fatalf("scan: %v %v", scan, err)
 	}
@@ -84,7 +85,7 @@ func TestRegionApplyGetScan(t *testing.T) {
 func TestRegionFlushMovesDataToFiles(t *testing.T) {
 	fs := dfs.New(dfs.Config{})
 	info := RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}}
-	r, err := OpenRegion(fs, NewBlockCache(1<<20), info)
+	r, err := OpenRegion(fs, NewBlockCache(1<<20, nil), info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestRegionReopenFindsFiles(t *testing.T) {
 	}
 
 	// A new server opens the region: files are discovered, memstore empty.
-	r2, err := OpenRegion(fs, NewBlockCache(1<<20), info)
+	r2, err := OpenRegion(fs, NewBlockCache(1<<20, nil), info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRegionReopenFindsFiles(t *testing.T) {
 func TestRegionVersionsAcrossMemAndFiles(t *testing.T) {
 	fs := dfs.New(dfs.Config{})
 	info := RegionInfo{ID: "t-r000", Table: "t", Range: kv.KeyRange{}}
-	r, _ := OpenRegion(fs, NewBlockCache(1<<20), info)
+	r, _ := OpenRegion(fs, NewBlockCache(1<<20, nil), info)
 	r.Apply([]kv.KeyValue{mkKV("k", "f", 10, "old")})
 	_ = r.Flush(0)
 	// Newer version only in the memstore; older only in the file.
@@ -184,7 +185,7 @@ func TestRegionVersionsAcrossMemAndFiles(t *testing.T) {
 		t.Fatalf("after replay, latest = %q", got.Value)
 	}
 	// Scan dedupes to one visible version.
-	scan, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 0)
+	scan, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 0)
 	if err != nil || len(scan) != 1 || string(scan[0].Value) != "new" {
 		t.Fatalf("scan: %v %v", scan, err)
 	}
@@ -196,7 +197,7 @@ func TestRegionScanLimit(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.Apply([]kv.KeyValue{mkKV(fmt.Sprintf("r%02d", i), "f", 1, "v")})
 	}
-	got, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 5)
+	got, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 5)
 	if err != nil || len(got) != 5 {
 		t.Fatalf("limited scan: %d %v", len(got), err)
 	}
@@ -241,4 +242,12 @@ func TestRegionFlushFailureKeepsDataReadable(t *testing.T) {
 	if !found || string(got.Value) != "v1" {
 		t.Fatalf("data lost after retried flush: %v", got)
 	}
+}
+
+// scanRange reads one page of r with no resume point: the newest visible
+// version per (row, column) in rng at or below maxTS, in store order,
+// tombstones elided, at most limit entries (0 = no limit).
+func scanRange(r *Region, rng kv.KeyRange, maxTS kv.Timestamp, limit int) ([]kv.KeyValue, error) {
+	out, _, err := r.scanPage(context.Background(), rng, maxTS, kv.CellKey{}, false, nil, false, limit)
+	return out, err
 }

@@ -182,45 +182,6 @@ func (rs *replState) leaseValid(now time.Time) bool {
 	return until == 0 || now.UnixNano() <= until
 }
 
-// ReplServerStats counts a server's replication work (follower side plus
-// read gating); the cluster exports them as replica_* metric families.
-type ReplServerStats struct {
-	Appends           int64 // AppendEntries batches applied
-	EntriesApplied    int64 // stream entries applied to follower copies
-	Checkpoints       int64 // re-anchors processed
-	Promotions        int64 // follower->primary flips
-	StaleEpochRejects int64 // fenced appends/checkpoints/promotions
-	FollowerReads     int64 // scan batches served from a follower copy
-	FollowerRejects   int64 // follower reads bounced for a stale frontier
-	LeaseRejects      int64 // primary writes bounced on an expired lease
-}
-
-type replServerCounters struct {
-	appends           atomic.Int64
-	entriesApplied    atomic.Int64
-	checkpoints       atomic.Int64
-	promotions        atomic.Int64
-	staleEpochRejects atomic.Int64
-	followerReads     atomic.Int64
-	followerRejects   atomic.Int64
-	leaseRejects      atomic.Int64
-}
-
-// ReplStats snapshots the server's replication counters.
-func (s *RegionServer) ReplStats() ReplServerStats {
-	c := &s.replCounters
-	return ReplServerStats{
-		Appends:           c.appends.Load(),
-		EntriesApplied:    c.entriesApplied.Load(),
-		Checkpoints:       c.checkpoints.Load(),
-		Promotions:        c.promotions.Load(),
-		StaleEpochRejects: c.staleEpochRejects.Load(),
-		FollowerReads:     c.followerReads.Load(),
-		FollowerRejects:   c.followerRejects.Load(),
-		LeaseRejects:      c.leaseRejects.Load(),
-	}
-}
-
 // SetReplicator attaches the shipping engine. Must be called before the
 // server hosts any replicated primary.
 func (s *RegionServer) SetReplicator(r Replicator) { s.repl = r }
@@ -286,7 +247,7 @@ func (s *RegionServer) followerEntryAt(regionID string, epoch uint64) (*regionEn
 	}
 	if role := e.rep.getRole(); role != RoleFollower {
 		if role == RolePrimary && e.rep.epoch.Load() >= epoch {
-			s.replCounters.staleEpochRejects.Add(1)
+			s.m.staleEpochRejects.Add(1)
 			return nil, fmt.Errorf("%w: %s is primary at epoch %d on %s",
 				ErrStaleEpoch, regionID, e.rep.epoch.Load(), s.cfg.ID)
 		}
@@ -322,7 +283,7 @@ func (s *RegionServer) AppendReplicated(regionID string, epoch uint64, entries [
 	defer rep.mu.Unlock()
 	cur := rep.epoch.Load()
 	if epoch < cur {
-		s.replCounters.staleEpochRejects.Add(1)
+		s.m.staleEpochRejects.Add(1)
 		return rep.lastSeq.Load(), fmt.Errorf("%w: %s epoch %d < %d", ErrStaleEpoch, regionID, epoch, cur)
 	}
 	if epoch > cur {
@@ -354,8 +315,8 @@ func (s *RegionServer) AppendReplicated(regionID string, epoch uint64, entries [
 	if safeTS > 0 && last == tipSeq {
 		rep.advanceFrontier(safeTS)
 	}
-	s.replCounters.appends.Add(1)
-	s.replCounters.entriesApplied.Add(int64(applied))
+	s.m.replAppends.Add(1)
+	s.m.replEntriesApplied.Add(int64(applied))
 	return last, nil
 }
 
@@ -374,7 +335,7 @@ func (s *RegionServer) ApplyReplCheckpoint(regionID string, epoch, seq uint64) e
 	defer rep.mu.Unlock()
 	cur := rep.epoch.Load()
 	if epoch < cur {
-		s.replCounters.staleEpochRejects.Add(1)
+		s.m.staleEpochRejects.Add(1)
 		return fmt.Errorf("%w: %s epoch %d < %d", ErrStaleEpoch, regionID, epoch, cur)
 	}
 	reset := epoch > cur
@@ -413,7 +374,7 @@ func (s *RegionServer) ApplyReplCheckpoint(regionID string, epoch, seq uint64) e
 	}
 	rep.checkpoint.Store(seq)
 	rep.tail = kept
-	s.replCounters.checkpoints.Add(1)
+	s.m.replCheckpoints.Add(1)
 	return nil
 }
 
@@ -439,7 +400,7 @@ func (s *RegionServer) PromoteRegion(regionID string, epoch uint64, leaseTTL tim
 	cur := rep.epoch.Load()
 	if epoch <= cur {
 		rep.mu.Unlock()
-		s.replCounters.staleEpochRejects.Add(1)
+		s.m.staleEpochRejects.Add(1)
 		return fmt.Errorf("%w: promote %s at epoch %d <= %d", ErrStaleEpoch, regionID, epoch, cur)
 	}
 	rep.epoch.Store(epoch)
@@ -454,7 +415,7 @@ func (s *RegionServer) PromoteRegion(regionID string, epoch uint64, leaseTTL tim
 	if s.repl != nil {
 		s.repl.AdoptRegion(regionID, epoch, lastSeq, checkpoint, tail)
 	}
-	s.replCounters.promotions.Add(1)
+	s.m.replPromotions.Add(1)
 	return nil
 }
 
@@ -475,7 +436,7 @@ func (s *RegionServer) SetReplication(regionID string, epoch uint64, followers [
 	cur := rep.epoch.Load()
 	if epoch < cur {
 		rep.mu.Unlock()
-		s.replCounters.staleEpochRejects.Add(1)
+		s.m.staleEpochRejects.Add(1)
 		return fmt.Errorf("%w: set-replication %s at epoch %d < %d", ErrStaleEpoch, regionID, epoch, cur)
 	}
 	rep.epoch.Store(epoch)

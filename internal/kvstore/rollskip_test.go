@@ -8,14 +8,14 @@ import (
 
 	"txkv/internal/dfs"
 	"txkv/internal/kv"
-	"txkv/internal/metrics"
 	"txkv/internal/netsim"
+	"txkv/internal/obs"
 )
 
 // newRollStore builds a one-server store whose roll threshold is set
 // before the server starts (mutating ServerConfig after Start would race
 // the background loops).
-func newRollStore(t *testing.T, rollMin int, rec *metrics.ReclaimMetrics) (*testStore, *RegionServer) {
+func newRollStore(t *testing.T, rollMin int, reg *obs.Registry) (*testStore, *RegionServer) {
 	t.Helper()
 	fs := dfs.New(dfs.Config{Replication: 2, DataNodes: 2})
 	net := netsim.New(netsim.Config{})
@@ -29,7 +29,7 @@ func newRollStore(t *testing.T, rollMin int, rec *metrics.ReclaimMetrics) (*test
 		WALSyncInterval:   20 * time.Millisecond,
 		HeartbeatInterval: 20 * time.Millisecond,
 		RollFlushMinBytes: rollMin,
-		Reclaim:           rec,
+		Registry:          reg,
 	}, fs)
 	if err := master.AddServer(srv); err != nil {
 		t.Fatal(err)
@@ -50,8 +50,8 @@ func newRollStore(t *testing.T, rollMin int, rec *metrics.ReclaimMetrics) (*test
 // still deleted, and the carried edits stay durable — the master's log
 // split recovers them.
 func TestRollWALSkipsIdleRegionFlush(t *testing.T) {
-	rec := &metrics.ReclaimMetrics{}
-	ts, srv := newRollStore(t, 1<<20, rec) // everything below 1 MiB skips
+	reg := obs.NewRegistry()
+	ts, srv := newRollStore(t, 1<<20, reg) // everything below 1 MiB skips
 	if err := ts.master.CreateTable("t", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRollWALSkipsIdleRegionFlush(t *testing.T) {
 	if n := r.Files(); n != 0 {
 		t.Fatalf("skipped region flushed %d store files", n)
 	}
-	if got := rec.Snapshot().FlushesSkipped; got != 1 {
+	if got := reg.Counter("reclaim.flushes_skipped").Load(); got != 1 {
 		t.Fatalf("FlushesSkipped = %d, want 1", got)
 	}
 	// Old generations gone, exactly the current one remains.
@@ -120,11 +120,11 @@ func TestRollWALFlushesPastThreshold(t *testing.T) {
 
 func hostRegion(t *testing.T, srv *RegionServer, table string, row kv.Key) *Region {
 	t.Helper()
-	r, ok := srv.findRegion(table, row, true)
+	e, ok := srv.findRegionEntry(table, row, true)
 	if !ok {
 		t.Fatalf("server %s does not host %s/%s", srv.ID(), table, row)
 	}
-	return r
+	return e.r
 }
 
 // TestUnlinkInvalidatesBlockCache: compaction inputs drop out of the block
@@ -134,7 +134,7 @@ func TestUnlinkInvalidatesBlockCache(t *testing.T) {
 	r, _ := buildRegionWithFiles(t, 3, 50)
 	cache := r.cache
 	// Warm the cache over every file.
-	if _, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 0); err != nil {
+	if _, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() == 0 {
@@ -150,7 +150,7 @@ func TestUnlinkInvalidatesBlockCache(t *testing.T) {
 		t.Fatalf("block cache holds %d blocks of unlinked store files", n)
 	}
 	// Reads repopulate it from the merged file only.
-	if _, err := r.ScanRange(kv.KeyRange{}, kv.MaxTimestamp, 0); err != nil {
+	if _, err := scanRange(r, kv.KeyRange{}, kv.MaxTimestamp, 0); err != nil {
 		t.Fatal(err)
 	}
 	if n, files := cache.Len(), r.Files(); files != 1 || n == 0 {

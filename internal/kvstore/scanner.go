@@ -168,11 +168,9 @@ func (s *Scanner) fill() {
 		Batch:     batch,
 	}
 
-	if o := s.c.cfg.Obs; o != nil {
-		o.ScanBatches.Add(1)
-		if s.hasResume {
-			o.ScanContinuations.Add(1)
-		}
+	s.c.m.scanBatches.Add(1)
+	if s.hasResume {
+		s.c.m.scanContinuations.Add(1)
 	}
 	sp := obs.FromContext(s.ctx)
 	var fillStart time.Time
@@ -230,10 +228,10 @@ func (s *Scanner) scanOnce(loc location, req ScanRequest) (ScanResponse, error) 
 		for _, fep := range loc.followers {
 			resp, err := fep.ScanBatch(s.ctx, freq)
 			if err == nil {
-				s.c.followerBatches.Add(1)
+				s.c.m.followerBatches.Add(1)
 				return resp, nil
 			}
-			s.c.followerFallbacks.Add(1)
+			s.c.m.followerFallbacks.Add(1)
 		}
 	}
 	return loc.ep.ScanBatch(s.ctx, req)

@@ -8,7 +8,7 @@ import (
 
 	"txkv/internal/dfs"
 	"txkv/internal/kv"
-	"txkv/internal/metrics"
+	"txkv/internal/obs"
 	"txkv/internal/wal"
 )
 
@@ -58,29 +58,12 @@ type ServerConfig struct {
 	// fresh WAL generation and synced, so the old generations remain
 	// deletable. Zero flushes every region on each roll.
 	RollFlushMinBytes int
-	// Reclaim, when set, receives store-file retirement counters and is
-	// propagated to every region this server opens. Nil records nothing.
-	Reclaim *metrics.ReclaimMetrics
-	// FileStats, when set, receives bloom and block-compression counters
-	// and is propagated to every region this server opens (shared
-	// cluster-wide, like Reclaim). Nil records nothing.
-	FileStats *FileStats
-	// Obs, when set, receives the server-side observability instruments
-	// (shared across all region servers of a cluster). Nil records
-	// nothing.
-	Obs *ServerObs
-}
-
-// ServerObs bundles the cluster-level instruments the region servers feed:
-// write-set application counters and latency, and cursor-scan page
-// counters and latency. All fields must be non-nil when the struct is; the
-// cluster builds it from its registry.
-type ServerObs struct {
-	AppliedWriteSets *metrics.Counter
-	AppliedCells     *metrics.Counter
-	ApplyLatency     *metrics.Histogram
-	ScanPages        *metrics.Counter
-	ScanPageLatency  *metrics.Histogram
+	// Registry receives the server's instruments: write-set application,
+	// scan pages, replication, block cache, bloom, block bytes and
+	// reclamation, for the server and every region it opens. Servers of
+	// one cluster share it, so each counter is one cluster-wide total. Nil
+	// records nothing.
+	Registry *obs.Registry
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -129,8 +112,9 @@ type RegionServer struct {
 	// repl is the replication shipping engine (nil = replication off).
 	// Set before Start; replicated primaries block their write acks on
 	// repl.Replicate's quorum.
-	repl         Replicator
-	replCounters replServerCounters
+	repl Replicator
+
+	m serverMetrics
 
 	mu      sync.RWMutex
 	regions map[string]*regionEntry
@@ -193,9 +177,10 @@ func NewRegionServer(cfg ServerConfig, fs dfs.FileSystem) *RegionServer {
 	s := &RegionServer{
 		cfg:     cfg,
 		fs:      fs,
-		cache:   NewBlockCache(cfg.BlockCacheBytes),
+		cache:   NewBlockCache(cfg.BlockCacheBytes, cfg.Registry),
 		regions: make(map[string]*regionEntry),
 		stop:    make(chan struct{}),
+		m:       newServerMetrics(cfg.Registry),
 	}
 	s.inflight.zero.L = &s.inflight.mu
 	return s
@@ -204,7 +189,7 @@ func NewRegionServer(cfg ServerConfig, fs dfs.FileSystem) *RegionServer {
 // ID returns the server's node name.
 func (s *RegionServer) ID() string { return s.cfg.ID }
 
-// Cache returns the server's block cache (stats for benchmarks).
+// Cache returns the server's block cache.
 func (s *RegionServer) Cache() *BlockCache { return s.cache }
 
 // walPath names one WAL generation; walPrefix matches every generation of
@@ -395,28 +380,44 @@ func (s *RegionServer) syncWAL(w *wal.Writer) error {
 	return nil
 }
 
-// findRegion returns the region containing (table, row). When
-// includeRecovering is false only online regions match.
-func (s *RegionServer) findRegion(table string, row kv.Key, includeRecovering bool) (*Region, bool) {
-	e, ok := s.findRegionEntry(table, row, includeRecovering)
+// findRegion returns the online region containing (table, row) for a read,
+// with the read registered on it: the caller calls r.readDone once the read
+// no longer touches the region's files. The read registers under s.mu, so
+// once CloseAndFlushRegion has removed the region no read can start on it,
+// and its wait covers every read that did.
+func (s *RegionServer) findRegion(table string, row kv.Key) (*Region, bool) {
+	s.mu.RLock()
+	e, ok := s.lookupLocked(table, row, false)
+	if ok {
+		e.r.readers.Add(1)
+	}
+	s.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
 	// A deposed primary must not keep serving snapshot reads off its stale
 	// copy: once its lease lapses (the master renews only the current
 	// primary's), reads bounce as not-serving and the client re-locates to
-	// the promoted primary. Recovery replays (includeRecovering) are not
-	// client reads and stay exempt.
-	if !includeRecovering && e.rep.getRole() == RolePrimary && !e.rep.leaseValid(time.Now()) {
-		s.replCounters.leaseRejects.Add(1)
+	// the promoted primary.
+	if e.rep.getRole() == RolePrimary && !e.rep.leaseValid(time.Now()) {
+		e.r.readDone()
+		s.m.leaseRejects.Add(1)
 		return nil, false
 	}
 	return e.r, true
 }
 
+// findRegionEntry returns the hosted primary (or unreplicated) copy
+// containing (table, row). When includeRecovering is false only online
+// regions match.
 func (s *RegionServer) findRegionEntry(table string, row kv.Key, includeRecovering bool) (*regionEntry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.lookupLocked(table, row, includeRecovering)
+}
+
+// lookupLocked is findRegionEntry with s.mu held.
+func (s *RegionServer) lookupLocked(table string, row kv.Key, includeRecovering bool) (*regionEntry, bool) {
 	for _, e := range s.regions {
 		if !e.online && !includeRecovering {
 			continue
@@ -441,10 +442,7 @@ func (s *RegionServer) findRegionEntry(table string, row kv.Key, includeRecoveri
 // hasPiggy marks a replayed write from the recovery client carrying the
 // failed server's T_P (paper Alg. 3 "On receive from recovery client").
 func (s *RegionServer) ApplyWriteSet(ws kv.WriteSet, piggy kv.Timestamp, hasPiggy bool) error {
-	var applyStart time.Time
-	if s.cfg.Obs != nil {
-		applyStart = time.Now()
-	}
+	applyStart := time.Now()
 	// Shared roll barrier: held across the WAL append AND the memstore
 	// apply, so a WAL roll (exclusive acquisition) never observes an edit
 	// in the old generation that is not yet in a memstore.
@@ -480,7 +478,7 @@ func (s *RegionServer) ApplyWriteSet(ws kv.WriteSet, piggy kv.Timestamp, hasPigg
 		now := time.Now()
 		for e := range byRegion {
 			if e.rep.getRole() == RolePrimary && !e.rep.leaseValid(now) {
-				s.replCounters.leaseRejects.Add(1)
+				s.m.leaseRejects.Add(1)
 				return fmt.Errorf("%w: %s on %s", ErrLeaseExpired, e.r.Info.ID, s.cfg.ID)
 			}
 		}
@@ -526,11 +524,9 @@ func (s *RegionServer) ApplyWriteSet(ws kv.WriteSet, piggy kv.Timestamp, hasPigg
 			return err
 		}
 	}
-	if o := s.cfg.Obs; o != nil {
-		o.AppliedWriteSets.Add(1)
-		o.AppliedCells.Add(int64(len(ws.Updates)))
-		o.ApplyLatency.Record(time.Since(applyStart))
-	}
+	s.m.appliedWriteSets.Add(1)
+	s.m.appliedCells.Add(int64(len(ws.Updates)))
+	s.m.applyLatency.Record(time.Since(applyStart))
 	return nil
 }
 
@@ -550,11 +546,11 @@ func (s *RegionServer) ReplayWriteSet(ws kv.WriteSet) error {
 	}
 	byRegion := make(map[*Region][]kv.KeyValue)
 	for _, u := range ws.Updates {
-		r, ok := s.findRegion(u.Table, u.Row, true)
+		e, ok := s.findRegionEntry(u.Table, u.Row, true)
 		if !ok {
 			return fmt.Errorf("%w: %s/%s on %s", ErrRegionNotServing, u.Table, u.Row, s.cfg.ID)
 		}
-		byRegion[r] = append(byRegion[r], u.ToKeyValue(ws.CommitTS))
+		byRegion[e.r] = append(byRegion[e.r], u.ToKeyValue(ws.CommitTS))
 	}
 	for r, kvs := range byRegion {
 		r.Apply(kvs)
@@ -570,10 +566,11 @@ func (s *RegionServer) Get(table string, row kv.Key, column string, maxTS kv.Tim
 	if crashed {
 		return kv.KeyValue{}, false, ErrServerStopped
 	}
-	r, ok := s.findRegion(table, row, false)
+	r, ok := s.findRegion(table, row)
 	if !ok {
 		return kv.KeyValue{}, false, fmt.Errorf("%w: %s/%s on %s", ErrRegionNotServing, table, row, s.cfg.ID)
 	}
+	defer r.readDone()
 	return r.Get(row, column, maxTS)
 }
 
@@ -640,8 +637,7 @@ func (s *RegionServer) loadRegion(info RegionInfo, files []string, hasFiles bool
 	if err != nil {
 		return nil, err
 	}
-	r.reclaim = s.cfg.Reclaim
-	r.stats = s.cfg.FileStats
+	r.m = s.m.store
 	return r, nil
 }
 
@@ -718,7 +714,8 @@ func (s *RegionServer) CloseAndFlushRegion(regionID string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s not hosted", ErrRegionNotServing, regionID)
 	}
-	s.inflight.wait() // writes that found the region before removal finish
+	s.inflight.wait()     // writes that found the region before removal finish
+	entry.r.waitReaders() // and reads: the target may unlink what they read
 	if err := entry.r.Flush(s.cfg.BlockSize); err != nil {
 		return nil, err
 	}
@@ -844,7 +841,7 @@ func (s *RegionServer) RollWAL() error {
 			return err
 		}
 		carried = true
-		s.cfg.Reclaim.AddFlushesSkipped(1)
+		s.m.flushesSkipped.Add(1)
 	}
 	// Follower copies journal the replicated stream too, and the entries
 	// above their last checkpoint are in no store file: carry them as well,

@@ -131,9 +131,9 @@ const tmpSuffix = ".tmp"
 type StoreFileOptions struct {
 	// BlockSize is the target uncompressed block size; 0 means the default.
 	BlockSize int
-	// Stats, when non-nil, accumulates compressed/uncompressed block byte
-	// counts as the file is written.
-	Stats *FileStats
+	// metrics, when non-nil, counts compressed/uncompressed block bytes as
+	// the file is written.
+	metrics *storeMetrics
 }
 
 // WriteStoreFile writes the sorted entries as a store file at path with
@@ -196,9 +196,9 @@ func WriteStoreFileWith(fs dfs.FileSystem, path string, entries []kv.KeyValue, o
 			frameBuf = append(frameBuf[:0], compress.IDNone)
 			frameBuf = append(frameBuf, blockBuf...)
 		}
-		if opts.Stats != nil {
-			opts.Stats.BlockUncompressedBytes.Add(int64(len(blockBuf)))
-			opts.Stats.BlockCompressedBytes.Add(int64(len(frameBuf) - 1))
+		if m := opts.metrics; m != nil {
+			m.blockUncompressed.Add(int64(len(blockBuf)))
+			m.blockCompressed.Add(int64(len(frameBuf) - 1))
 		}
 		index = append(index, indexEntry{first: first, offset: fileOff, length: len(frameBuf)})
 		if err := w.Append(frameBuf); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"txkv/internal/dfs"
 	"txkv/internal/kv"
+	"txkv/internal/obs"
 )
 
 func buildStoreFile(t *testing.T, fs *dfs.FS, path string, n int, blockSize int) *StoreFile {
@@ -28,7 +29,7 @@ func TestStoreFileWriteReadBack(t *testing.T) {
 	if sf.Blocks() < 2 {
 		t.Fatalf("expected multiple blocks, got %d", sf.Blocks())
 	}
-	cache := NewBlockCache(1 << 20)
+	cache := NewBlockCache(1<<20, nil)
 	for _, i := range []int{0, 1, 499, 998, 999} {
 		row := kv.Key(fmt.Sprintf("row%05d", i))
 		got, found, err := sf.Get(row, "c", kv.MaxTimestamp, cache)
@@ -139,18 +140,20 @@ func TestStoreFileEmpty(t *testing.T) {
 func TestStoreFileCacheUsed(t *testing.T) {
 	fs := dfs.New(dfs.Config{})
 	sf := buildStoreFile(t, fs, "/f", 500, 256)
-	cache := NewBlockCache(1 << 20)
+	reg := obs.NewRegistry()
+	cache := NewBlockCache(1<<20, reg)
+	hitCount, missCount := reg.Counter("blockcache.hits"), reg.Counter("blockcache.misses")
 	if _, _, err := sf.Get("row00007", "c", kv.MaxTimestamp, cache); err != nil {
 		t.Fatal(err)
 	}
-	_, misses1 := cache.Stats()
+	misses1 := missCount.Load()
 	if misses1 == 0 {
 		t.Fatal("first read should miss")
 	}
 	if _, _, err := sf.Get("row00007", "c", kv.MaxTimestamp, cache); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses2 := cache.Stats()
+	hits, misses2 := hitCount.Load(), missCount.Load()
 	if hits == 0 || misses2 != misses1 {
 		t.Fatalf("second read should hit: hits=%d misses=%d->%d", hits, misses1, misses2)
 	}
@@ -176,7 +179,7 @@ func TestOpenStoreFileErrors(t *testing.T) {
 }
 
 func TestBlockCacheLRU(t *testing.T) {
-	c := NewBlockCache(100)
+	c := NewBlockCache(100, nil)
 	c.Put("a", make([]byte, 40))
 	c.Put("b", make([]byte, 40))
 	if c.Len() != 2 || c.Used() != 80 {

@@ -1,8 +1,4 @@
-// Package metrics provides the measurement primitives the benchmark
-// harness uses: a log-bucketed latency histogram (HdrHistogram-style,
-// fixed memory), and per-second time series for throughput/response-time
-// plots like the paper's Figure 3.
-package metrics
+package obs
 
 import (
 	"fmt"
@@ -11,6 +7,38 @@ import (
 	"sync/atomic"
 	"time"
 )
+
+// The measurement primitives behind every registry instrument: a monotonic
+// counter, a gauge, a log-bucketed latency histogram (HdrHistogram-style,
+// fixed memory), and per-interval time series for throughput/response-time
+// plots like the paper's Figure 3.
+
+// Counter is a concurrency-safe monotonic counter. The zero value is ready
+// to use.
+type Counter struct {
+	v atomic.Int64
+}
+
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
+
+// Load returns the current value.
+func (c *Counter) Load() int64 { return c.v.Load() }
+
+// Gauge is a concurrency-safe instantaneous value (a level, not a rate).
+// The zero value is ready to use.
+type Gauge struct {
+	v atomic.Int64
+}
+
+// Set replaces the current value.
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
+
+// Add moves the gauge by n (negative to decrease).
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
+
+// Load returns the current value.
+func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // histogram bucketing: 64 major (power-of-two) buckets x 16 linear
 // sub-buckets each covers the full int64 nanosecond range with <= 6.25%

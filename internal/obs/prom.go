@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"txkv/internal/metrics"
 )
 
 // promName sanitizes a dotted registry name into a Prometheus metric name:
@@ -42,8 +40,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	snap := struct {
 		counters map[string]int64
 		gauges   map[string]int64
-		hists    map[string]*metrics.Histogram
-	}{map[string]int64{}, map[string]int64{}, map[string]*metrics.Histogram{}}
+		hists    map[string]*Histogram
+	}{map[string]int64{}, map[string]int64{}, map[string]*Histogram{}}
 
 	r.mu.Lock()
 	for k, c := range r.counters {

@@ -3,19 +3,22 @@
 // Prometheus text export, plus context-propagated per-operation tracing
 // with stage histograms and a ring-buffered slow-op log.
 //
-// The package depends only on the standard library and internal/metrics;
-// every other layer (cluster, kvstore, txmgr, txlog, bench) wires into it
-// rather than growing its own ad-hoc stats structs. One Registry belongs to
-// one Cluster; names are flat dotted strings ("txmgr.commits",
-// "commit.fsync") that the Prometheus exporter sanitizes.
+// The package depends only on the standard library. A counter lives only in
+// a Registry: each subsystem takes one *Registry in its config, resolves its
+// named instruments once at construction, and records into them without a
+// lock or a name lookup. Get-or-create by name makes every incarnation of a
+// subsystem that records into one registry share one monotonic instrument,
+// so a crashed server's counts stay in the totals with nothing to fold.
+// Pull-style funcs are kept for levels and for state that has one source.
+// One Registry belongs to one Cluster or one region-node process; names are
+// flat dotted strings ("txmgr.commits", "commit.fsync") that the Prometheus
+// exporter sanitizes.
 package obs
 
 import (
 	"sort"
 	"sync"
 	"time"
-
-	"txkv/internal/metrics"
 )
 
 // funcKind distinguishes pull-style metrics for export typing.
@@ -38,47 +41,47 @@ type funcMetric struct {
 // needs no guards on the recording path.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*metrics.Counter
-	gauges   map[string]*metrics.Gauge
-	hists    map[string]*metrics.Histogram
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 	funcs    map[string]funcMetric
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*metrics.Counter),
-		gauges:   make(map[string]*metrics.Gauge),
-		hists:    make(map[string]*metrics.Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]funcMetric),
 	}
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *metrics.Counter {
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return &metrics.Counter{}
+		return &Counter{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &metrics.Counter{}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *metrics.Gauge {
+func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
-		return &metrics.Gauge{}
+		return &Gauge{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &metrics.Gauge{}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -86,24 +89,24 @@ func (r *Registry) Gauge(name string) *metrics.Gauge {
 
 // Histogram returns the named histogram (nanosecond observations by
 // convention), creating it on first use.
-func (r *Registry) Histogram(name string) *metrics.Histogram {
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
-		return &metrics.Histogram{}
+		return &Histogram{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &metrics.Histogram{}
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
 }
 
 // CounterFunc registers a pull-style counter: fn is called at snapshot and
-// export time and must be safe for concurrent use. It lets subsystems that
-// already keep cumulative counts (txlog.Stats, txmgr.Stats) feed the
-// registry without double bookkeeping. Re-registering a name replaces it.
+// export time and must be safe for concurrent use. It is for state with one
+// source (txlog.Stats, txmgr.Stats): a name has one func, and re-registering
+// it replaces it.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
 	if r == nil {
 		return
@@ -156,15 +159,15 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*metrics.Counter, len(r.counters))
+	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
 	}
-	gauges := make(map[string]*metrics.Gauge, len(r.gauges))
+	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[string]*metrics.Histogram, len(r.hists))
+	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
 	}

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"txkv/internal/metrics"
 )
 
 // DefaultSlowThreshold is the slow-op retention threshold when the tracer
@@ -41,7 +39,7 @@ type Tracer struct {
 	reg     *Registry
 	enabled atomic.Bool
 	slowNs  int64
-	hists   sync.Map // stage name -> *metrics.Histogram
+	hists   sync.Map // stage name -> *Histogram
 
 	ringMu   sync.Mutex
 	ring     []*Span
@@ -78,13 +76,13 @@ func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
 // stageHist returns the registry histogram for a stage name, cached so the
 // recording path skips the registry mutex.
-func (t *Tracer) stageHist(name string) *metrics.Histogram {
+func (t *Tracer) stageHist(name string) *Histogram {
 	if h, ok := t.hists.Load(name); ok {
-		return h.(*metrics.Histogram)
+		return h.(*Histogram)
 	}
 	h := t.reg.Histogram(name)
 	actual, _ := t.hists.LoadOrStore(name, h)
-	return actual.(*metrics.Histogram)
+	return actual.(*Histogram)
 }
 
 type spanCtxKey struct{}

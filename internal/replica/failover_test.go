@@ -12,6 +12,7 @@ import (
 	"txkv/internal/kv"
 	"txkv/internal/kvstore"
 	"txkv/internal/netsim"
+	"txkv/internal/obs"
 )
 
 // directLink drives a follower region server in-process — the loopback
@@ -39,6 +40,7 @@ type replCluster struct {
 	master  *kvstore.Master
 	srvs    map[string]*kvstore.RegionServer
 	ships   map[string]*Shipper
+	regs    map[string]*obs.Registry // one per server, shared with its shipper
 	safeTS  atomic.Uint64
 	t       *testing.T
 	ordered []string
@@ -51,6 +53,7 @@ func newReplCluster(t *testing.T, nServers, rf int) *replCluster {
 		net:   netsim.New(netsim.Config{}),
 		srvs:  make(map[string]*kvstore.RegionServer),
 		ships: make(map[string]*Shipper),
+		regs:  make(map[string]*obs.Registry),
 		t:     t,
 	}
 	c.safeTS.Store(uint64(kv.MaxTimestamp))
@@ -69,16 +72,19 @@ func newReplCluster(t *testing.T, nServers, rf int) *replCluster {
 	}
 	for i := 0; i < nServers; i++ {
 		id := fmt.Sprintf("server-%d", i)
+		reg := obs.NewRegistry()
 		srv := kvstore.NewRegionServer(kvstore.ServerConfig{
 			ID:                id,
 			WALSyncInterval:   20 * time.Millisecond,
 			HeartbeatInterval: 20 * time.Millisecond,
+			Registry:          reg,
 		}, c.fs)
 		sh := NewShipper(Config{
 			ServerID:      id,
 			Dial:          dial,
 			SafeTS:        func() kv.Timestamp { return kv.Timestamp(c.safeTS.Load()) },
 			QuorumTimeout: 2 * time.Second,
+			Registry:      reg,
 		})
 		srv.SetReplicator(sh)
 		if err := c.master.AddServer(srv); err != nil {
@@ -86,6 +92,7 @@ func newReplCluster(t *testing.T, nServers, rf int) *replCluster {
 		}
 		c.srvs[id] = srv
 		c.ships[id] = sh
+		c.regs[id] = reg
 		c.ordered = append(c.ordered, id)
 	}
 	t.Cleanup(func() {
@@ -358,9 +365,10 @@ func TestClientFollowerScanRouting(t *testing.T) {
 	}
 	primaryID, _ := c.primaryOf("t", "row01")
 	var follower *kvstore.RegionServer
+	var followerID string
 	for id, s := range c.srvs {
 		if id != primaryID {
-			follower = s
+			follower, followerID = s, id
 		}
 	}
 	// Wait until the follower can serve the snapshot, so the routed scan
@@ -372,8 +380,9 @@ func TestClientFollowerScanRouting(t *testing.T) {
 		return err == nil && len(resp.KVs) == 10
 	})
 
+	creg := obs.NewRegistry()
 	cl := kvstore.NewClientTransport(
-		kvstore.ClientConfig{ID: "reader", FollowerReads: true},
+		kvstore.ClientConfig{ID: "reader", FollowerReads: true, Registry: creg},
 		kvstore.NewLoopbackTransport(c.net, c.master, "reader"),
 	)
 	got, err := cl.Scan(ctx, "t", kv.KeyRange{}, 10, 0)
@@ -383,12 +392,11 @@ func TestClientFollowerScanRouting(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("scan returned %d rows, want 10", len(got))
 	}
-	st := cl.Stats()
-	if st.FollowerBatches == 0 {
-		t.Fatalf("no batch served by a follower: %+v", st)
+	if creg.Counter("client.follower_batches").Load() == 0 {
+		t.Fatal("no batch served by a follower")
 	}
-	if rs := follower.ReplStats(); rs.FollowerReads == 0 {
-		t.Fatalf("follower server recorded no follower reads: %+v", rs)
+	if c.regs[followerID].Counter("replica.follower_reads").Load() == 0 {
+		t.Fatal("follower server recorded no follower reads")
 	}
 
 	// A snapshot past the follower's frontier falls back to the primary in
@@ -400,8 +408,8 @@ func TestClientFollowerScanRouting(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("fallback scan returned %d rows, want 10", len(got))
 	}
-	if st := cl.Stats(); st.FollowerFallbacks == 0 {
-		t.Fatalf("behind-follower scan did not record a fallback: %+v", st)
+	if creg.Counter("client.follower_fallbacks").Load() == 0 {
+		t.Fatal("behind-follower scan did not record a fallback")
 	}
 }
 

@@ -28,11 +28,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"txkv/internal/kv"
 	"txkv/internal/kvstore"
+	"txkv/internal/obs"
 )
 
 // Config configures a Shipper.
@@ -57,6 +57,10 @@ type Config struct {
 	RetryBackoff time.Duration
 	// MaxBatchEntries caps entries per AppendEntries call. Default 256.
 	MaxBatchEntries int
+	// Registry receives the shipping counters (replica.shipped_batches,
+	// replica.quorum_timeouts, ...). The shippers of one cluster share it,
+	// so each counter is one total. Nil records nothing.
+	Registry *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -75,7 +79,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time snapshot of a shipper's counters and lag gauges.
+// Stats is a point-in-time snapshot of the shipper's registry counters and
+// its own lag gauges. Shippers that share a registry read the same counters.
 type Stats struct {
 	ShippedBatches  int64
 	ShippedEntries  int64
@@ -102,22 +107,26 @@ type Shipper struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	shippedBatches atomic.Int64
-	shippedEntries atomic.Int64
-	shippedBytes   atomic.Int64
-	heartbeats     atomic.Int64
-	checkpoints    atomic.Int64
-	sendErrors     atomic.Int64
-	quorumTimeouts atomic.Int64
-	regionsFenced  atomic.Int64
+	shippedBatches, shippedEntries, shippedBytes *obs.Counter
+	heartbeats, checkpoints, sendErrors          *obs.Counter
+	quorumTimeouts, regionsFenced                *obs.Counter
 }
 
 // NewShipper creates a shipper; Close releases its senders.
 func NewShipper(cfg Config) *Shipper {
+	reg := cfg.Registry
 	return &Shipper{
-		cfg:     cfg.withDefaults(),
-		regions: make(map[string]*regionRep),
-		stop:    make(chan struct{}),
+		cfg:            cfg.withDefaults(),
+		regions:        make(map[string]*regionRep),
+		stop:           make(chan struct{}),
+		shippedBatches: reg.Counter("replica.shipped_batches"),
+		shippedEntries: reg.Counter("replica.shipped_entries"),
+		shippedBytes:   reg.Counter("replica.shipped_bytes"),
+		heartbeats:     reg.Counter("replica.heartbeats"),
+		checkpoints:    reg.Counter("replica.checkpoints_shipped"),
+		sendErrors:     reg.Counter("replica.send_errors"),
+		quorumTimeouts: reg.Counter("replica.quorum_timeouts"),
+		regionsFenced:  reg.Counter("replica.regions_fenced"),
 	}
 }
 

@@ -3,7 +3,6 @@ package rpc
 import (
 	"sync/atomic"
 
-	"txkv/internal/metrics"
 	"txkv/internal/obs"
 )
 
@@ -29,49 +28,49 @@ func (in *instrument[T]) get(resolve func() *T) *T {
 // serverMetrics are a Server's per-request instruments.
 type serverMetrics struct {
 	reg                      *obs.Registry
-	requests, errors, stalls instrument[metrics.Counter]
-	latency                  instrument[metrics.Histogram]
-	streams                  instrument[metrics.Gauge]
-	byMethod                 [256]instrument[metrics.Counter]
+	requests, errors, stalls instrument[obs.Counter]
+	latency                  instrument[obs.Histogram]
+	streams                  instrument[obs.Gauge]
+	byMethod                 [256]instrument[obs.Counter]
 }
 
 // request counts one request of method m.
 func (sm *serverMetrics) request(m byte) {
-	sm.requests.get(func() *metrics.Counter { return sm.reg.Counter("rpc.server.requests") }).Add(1)
-	sm.byMethod[m].get(func() *metrics.Counter { return sm.reg.Counter("rpc.server.req." + methodName(m)) }).Add(1)
+	sm.requests.get(func() *obs.Counter { return sm.reg.Counter("rpc.server.requests") }).Add(1)
+	sm.byMethod[m].get(func() *obs.Counter { return sm.reg.Counter("rpc.server.req." + methodName(m)) }).Add(1)
 }
 
-func (sm *serverMetrics) errorCount() *metrics.Counter {
-	return sm.errors.get(func() *metrics.Counter { return sm.reg.Counter("rpc.server.errors") })
+func (sm *serverMetrics) errorCount() *obs.Counter {
+	return sm.errors.get(func() *obs.Counter { return sm.reg.Counter("rpc.server.errors") })
 }
 
-func (sm *serverMetrics) stallCount() *metrics.Counter {
-	return sm.stalls.get(func() *metrics.Counter { return sm.reg.Counter("rpc.server.inflight_stalls") })
+func (sm *serverMetrics) stallCount() *obs.Counter {
+	return sm.stalls.get(func() *obs.Counter { return sm.reg.Counter("rpc.server.inflight_stalls") })
 }
 
-func (sm *serverMetrics) latencyHist() *metrics.Histogram {
-	return sm.latency.get(func() *metrics.Histogram { return sm.reg.Histogram("rpc.server.latency") })
+func (sm *serverMetrics) latencyHist() *obs.Histogram {
+	return sm.latency.get(func() *obs.Histogram { return sm.reg.Histogram("rpc.server.latency") })
 }
 
-func (sm *serverMetrics) streamGauge() *metrics.Gauge {
-	return sm.streams.get(func() *metrics.Gauge { return sm.reg.Gauge("rpc.server.streams") })
+func (sm *serverMetrics) streamGauge() *obs.Gauge {
+	return sm.streams.get(func() *obs.Gauge { return sm.reg.Gauge("rpc.server.streams") })
 }
 
 // poolMetrics are a Pool's per-call instruments.
 type poolMetrics struct {
 	reg           *obs.Registry
-	calls, errors instrument[metrics.Counter]
-	latency       instrument[metrics.Histogram]
+	calls, errors instrument[obs.Counter]
+	latency       instrument[obs.Histogram]
 }
 
-func (pm *poolMetrics) callCount() *metrics.Counter {
-	return pm.calls.get(func() *metrics.Counter { return pm.reg.Counter("rpc.client.calls") })
+func (pm *poolMetrics) callCount() *obs.Counter {
+	return pm.calls.get(func() *obs.Counter { return pm.reg.Counter("rpc.client.calls") })
 }
 
-func (pm *poolMetrics) errorCount() *metrics.Counter {
-	return pm.errors.get(func() *metrics.Counter { return pm.reg.Counter("rpc.client.errors") })
+func (pm *poolMetrics) errorCount() *obs.Counter {
+	return pm.errors.get(func() *obs.Counter { return pm.reg.Counter("rpc.client.errors") })
 }
 
-func (pm *poolMetrics) latencyHist() *metrics.Histogram {
-	return pm.latency.get(func() *metrics.Histogram { return pm.reg.Histogram("rpc.client.latency") })
+func (pm *poolMetrics) latencyHist() *obs.Histogram {
+	return pm.latency.get(func() *obs.Histogram { return pm.reg.Histogram("rpc.client.latency") })
 }

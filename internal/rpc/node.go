@@ -34,9 +34,12 @@ type RegionNodeConfig struct {
 	// when the node sits behind a proxy or NAT (the chaos harness's fault
 	// proxies use this).
 	Advertise string
-	// Server configures the region server itself (ID is overridden).
+	// Server configures the region server itself (ID and Registry are
+	// overridden).
 	Server kvstore.ServerConfig
-	// Registry, when non-nil, receives the node's rpc metrics.
+	// Registry, when non-nil, receives the node's metrics: rpc, the region
+	// server's (server, bloom, block cache, reclaim) and the shipper's
+	// (replica).
 	Registry *obs.Registry
 	// MaxInflightPerConn caps concurrently-executing unary requests per
 	// connection on the node's rpc server. 0 = unlimited.
@@ -69,6 +72,7 @@ func StartRegionNode(cfg RegionNodeConfig) (*RegionNode, error) {
 	mc := NewMasterClient(pool, cfg.MasterAddr)
 	scfg := cfg.Server
 	scfg.ID = cfg.ID
+	scfg.Registry = cfg.Registry
 	srv := kvstore.NewRegionServer(scfg, NewRemoteFS(pool, cfg.MasterAddr))
 
 	// The node's shipping engine: follower links ride the shared pool. A
@@ -79,8 +83,15 @@ func StartRegionNode(cfg RegionNodeConfig) (*RegionNode, error) {
 		Dial: func(t kvstore.ReplicaTarget) (kvstore.FollowerLink, error) {
 			return NewFollowerLink(pool, t.ServerID, t.Addr), nil
 		},
+		Registry: cfg.Registry,
 	})
 	srv.SetReplicator(shipper)
+	// The levels have one source in this process: its cache and shipper.
+	reg := cfg.Registry
+	reg.GaugeFunc("blockcache.used_bytes", func() int64 { return int64(srv.Cache().Used()) })
+	reg.GaugeFunc("replica.lag_entries", func() int64 { return shipper.Stats().LagEntries })
+	reg.GaugeFunc("replica.lag_bytes", func() int64 { return shipper.Stats().LagBytes })
+	reg.GaugeFunc("replica.retained_entries", func() int64 { return shipper.Stats().RetainedEntries })
 
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"txkv/internal/kv"
-	"txkv/internal/metrics"
+	"txkv/internal/obs"
 	"txkv/internal/storage"
 )
 
@@ -51,13 +51,11 @@ type Config struct {
 	Backend storage.Backend
 	// SegmentBytes caps a storage segment before rotation (0 = default).
 	SegmentBytes int64
-	// SyncHist, when set, receives the wall-clock duration of each
-	// group-commit sync (storage append + fsync). Nil records nothing.
-	SyncHist *metrics.Histogram
-	// SyncBatchSize, when set, receives the record count of each
-	// group-commit batch — how well commits coalesce under load. Nil
-	// records nothing.
-	SyncBatchSize *metrics.Histogram
+	// Registry receives the txlog.sync histogram (wall-clock duration of
+	// each group-commit sync: storage append + fsync) and txlog.sync_batch
+	// (record count of each group-commit batch — how well commits coalesce
+	// under load). Nil records nothing.
+	Registry *obs.Registry
 }
 
 // Stats reports log counters used by the truncation experiment.
@@ -165,6 +163,8 @@ type Log struct {
 	cfg   Config
 	store *storage.Log
 
+	syncHist, syncBatch *obs.Histogram
+
 	mu        sync.Mutex
 	cond      *sync.Cond
 	pending   []pendingRec
@@ -213,7 +213,12 @@ func Open(cfg Config) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("txlog: open storage: %w", err)
 	}
-	l := &Log{cfg: cfg, store: store}
+	l := &Log{
+		cfg:       cfg,
+		store:     store,
+		syncHist:  cfg.Registry.Histogram("txlog.sync"),
+		syncBatch: cfg.Registry.Histogram("txlog.sync_batch"),
+	}
 	l.cond = sync.NewCond(&l.mu)
 
 	err = store.Replay(func(pos storage.RecordPos, payload []byte) error {
@@ -347,10 +352,7 @@ func (l *Log) syncLoop() {
 	for batch := range l.encoded {
 		// One storage group-commit (single fsync + the configured sync
 		// latency) covers the whole batch.
-		var syncStart time.Time
-		if l.cfg.SyncHist != nil {
-			syncStart = time.Now()
-		}
+		syncStart := time.Now()
 		l.ioMu.Lock()
 		positions, err := l.store.AppendBatch(batch.payloads)
 
@@ -372,12 +374,8 @@ func (l *Log) syncLoop() {
 		}
 		l.mu.Unlock()
 		l.ioMu.Unlock()
-		if l.cfg.SyncHist != nil {
-			l.cfg.SyncHist.Record(time.Since(syncStart))
-		}
-		if l.cfg.SyncBatchSize != nil {
-			l.cfg.SyncBatchSize.RecordValue(int64(len(batch.recs)))
-		}
+		l.syncHist.Record(time.Since(syncStart))
+		l.syncBatch.RecordValue(int64(len(batch.recs)))
 		// Publish durable commits to the sink before releasing the waiters:
 		// once a committer's Commit returns, its change event is already in
 		// every live watcher's queue, so a watcher subscribed before the

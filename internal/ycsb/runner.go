@@ -11,7 +11,7 @@ import (
 
 	"txkv/internal/cluster"
 	"txkv/internal/kv"
-	"txkv/internal/metrics"
+	"txkv/internal/obs"
 	"txkv/internal/txmgr"
 )
 
@@ -202,8 +202,8 @@ type Result struct {
 	Aborted   int64 // SI conflicts
 	Errors    int64
 	Elapsed   time.Duration
-	Latency   *metrics.Histogram
-	Series    *metrics.TimeSeries // nil unless SeriesInterval was set
+	Latency   *obs.Histogram
+	Series    *obs.TimeSeries // nil unless SeriesInterval was set
 }
 
 // Throughput returns committed transactions per second.
@@ -241,9 +241,9 @@ func Run(c *cluster.Cluster, w Workload, rc RunnerConfig) (Result, error) {
 		defer cl.Stop()
 	}
 
-	res := Result{Latency: &metrics.Histogram{}}
+	res := Result{Latency: &obs.Histogram{}}
 	if rc.SeriesInterval > 0 {
-		res.Series = metrics.NewTimeSeries(rc.SeriesInterval)
+		res.Series = obs.NewTimeSeries(rc.SeriesInterval)
 	}
 	var committed, aborted, errCount atomic.Int64
 
